@@ -4,7 +4,9 @@ Inputs are a tiny metrics CSV, labels JSONL and genloss JSON written to
 tmp_path; the commands must exit 0 and write well-formed reports.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +122,102 @@ def test_evaluate_exits_zero_with_one_entry_per_predictor(inputs):
         assert entry["n_fit"] == 3
         assert entry["n_val"] == len(LABELED) - 3
         assert len(entry["per_repeat_r2"]) + entry["skipped"] == 5
+
+
+# ------------------------------------------------------------ golden pipeline
+
+GOLDEN_K = 4
+GOLDEN_N = 8
+# checkpoint -> (gen-loss per-token NLL, post-RL pass1 or None)
+GOLDEN_CHECKPOINTS = {
+    "ckpt-0": (1.31, 0.18),
+    "ckpt-1": (1.12, 0.27),
+    "ckpt-2": (1.20, 0.22),
+    "ckpt-3": (0.97, 0.36),
+    "ckpt-4": (1.02, 0.31),
+    "ckpt-5": (0.88, 0.45),
+    "ckpt-6": (1.25, None),
+    "ckpt-7": (0.93, None),
+}
+GOLDEN_TASKS = [("bench-a", "t0"), ("bench-a", "t1"), ("bench-a", "t2"),
+                ("bench-b", "t0"), ("bench-b", "t1")]
+
+
+def write_golden_inputs():
+    """Tiny samples/gold/genloss/labels/points files in the current directory."""
+    gold = [
+        {"benchmark": b, "task_id": t, "answer": str(10 + i)}
+        for i, (b, t) in enumerate(GOLDEN_TASKS)
+    ]
+    samples = []
+    for ci, ckpt in enumerate(sorted(GOLDEN_CHECKPOINTS)):
+        for ti, (b, t) in enumerate(GOLDEN_TASKS):
+            correct = (ci * 3 + ti * 5 + ci * ti) % (GOLDEN_N + 1)
+            for s in range(GOLDEN_N):
+                answer = 10 + ti if s < correct else 99
+                samples.append(
+                    {"checkpoint_id": ckpt, "benchmark": b, "task_id": t,
+                     "sample_index": s, "text": f"so the answer is \\boxed{{{answer}}}."}
+                )
+    genloss = [
+        {"checkpoint_id": ckpt, "example_id": f"ex{e}",
+         "nll_sum": round(loss * (20 + 7 * e) + 0.1 * e, 6), "token_count": 20 + 7 * e}
+        for ckpt, (loss, _) in sorted(GOLDEN_CHECKPOINTS.items())
+        for e in range(3)
+    ]
+    labels = [
+        {"checkpoint_id": ckpt, "post_rl_pass1": label}
+        for ckpt, (_, label) in sorted(GOLDEN_CHECKPOINTS.items())
+        if label is not None
+    ]
+    points = [
+        {"checkpoint_id": ckpt, "x": loss, "y": label}
+        for ckpt, (loss, label) in sorted(GOLDEN_CHECKPOINTS.items())
+        if label is not None
+    ]
+    for name, rows in (("samples.jsonl", samples), ("gold.jsonl", gold),
+                       ("genloss.jsonl", genloss), ("labels.jsonl", labels),
+                       ("points.jsonl", points)):
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
+
+
+GOLDEN_STEPS = [
+    ["verify", "--samples", "samples.jsonl", "--gold", "gold.jsonl", "--out", "outcomes.jsonl"],
+    ["passk", "--outcomes", "outcomes.jsonl", "--out", "metrics.csv", "--ks", f"1,2,{GOLDEN_K}"],
+    ["genloss", "--records", "genloss.jsonl", "--out", "genloss.json"],
+    ["rank", "--metrics", "metrics.csv", "--k", str(GOLDEN_K), "--genloss", "genloss.json",
+     "--out", "rank.json"],
+    ["rank", "--metrics", "metrics.csv", "--k", str(GOLDEN_K), "--genloss", "genloss.json",
+     "--epsilon", "0.05", "--out", "rank-eps.json"],
+    ["predict", "--metrics", "metrics.csv", "--labels", "labels.jsonl", "--genloss", "genloss.json",
+     "--metric", f"avg:passk:{GOLDEN_K}+genloss", "--mode", "avg", "--out", "predict-avg.json"],
+    ["predict", "--metrics", "metrics.csv", "--labels", "labels.jsonl", "--genloss", "genloss.json",
+     "--metric", f"avg:passk:{GOLDEN_K}+genloss", "--mode", "joint", "--out", "predict-joint.json"],
+    ["evaluate", "--metrics", "metrics.csv", "--labels", "labels.jsonl", "--genloss", "genloss.json",
+     "--n-fit", "3", "--repeats", "50", "--seed", "0", "--k", str(GOLDEN_K),
+     "--out", "evaluate.json"],
+    ["plot", "--points", "points.jsonl", "--out", "plot.svg"],
+]
+
+GOLDEN_SHA256 = {
+    "outcomes.jsonl": "cabf08cfb5da30988b6e2ea6b2938a48704542d6b01024649db7973ade4cc7f3",
+    "outcomes.jsonl.meta.json": "37692790a48fdf79e8fc43341afe4803b8e4b4bc649100233eb038aff6299874",
+    "metrics.csv": "bdfdb2b46336a4471a5634e4ae6b59ae66b6748681548cad498d8354eb508440",
+    "genloss.json": "8cba1767fc838dca3546a8c36972c58dffa440d1e48f69798d3ce7b6beaa6adf",
+    "rank.json": "82b77bd3e790cb6f1078d32f920b6e0b7f2a4a99fe5706e904dc9c9cad7396fb",
+    "rank-eps.json": "9934b57b03597769e4a10b070a922f92f7d6be7dddc9ead7c1310b407b01f24f",
+    "predict-avg.json": "80175de63f27f1bc91d8b03b6e1ddd508fabc62abf6bf5a074cf219d82285a13",
+    "predict-joint.json": "36030b5573cd9704eb9e62aeabb101ceff1c78987720be5c6ac9fac2a8329f99",
+    "evaluate.json": "d8e4eeac4576d1247c24533580c0cf3402a81e420dcf3f685f74229f8e8b5b77",
+    "plot.svg": "aa6ccd21f1a554c6be0122af9e955b0524918fe55986562a5bd4d6ba65086ed1",
+}
+
+
+def test_golden_pipeline_outputs_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_golden_inputs()
+    for argv in GOLDEN_STEPS:
+        assert main(argv) == 0, argv
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
