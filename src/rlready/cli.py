@@ -23,10 +23,24 @@ from . import __version__
 from .curate import CurationSpec, measure_lengths, select, split_validation
 from .passk import CheckpointMetrics, PassKCurve, aggregate
 from .plotting import plot_scatter
-from .predict import Candidate, calibrate_and_predict, parse_metric, rank_candidates
+from .predict import (
+    Candidate,
+    calibrate_and_predict,
+    component_name,
+    component_value,
+    parse_metric,
+    rank_candidates,
+)
 from .records import RecordStore, aggregate_genloss, dump, file_sha256, load
 from .sampler import SamplingIncomplete, SamplingJob, SamplingTask, sample_completions
-from .stats import LabeledPoint, fit_linear, r_squared, repeated_split_eval, spearman
+from .stats import (
+    LabeledPoint,
+    fit_linear,
+    r_squared,
+    repeated_split_eval,
+    repeated_split_eval_combined,
+    spearman,
+)
 from .verifier import RULESET_VERSION, score
 
 METRICS_CSV_MARKER = "# rlready metrics v1"
@@ -152,9 +166,13 @@ def _load_genloss_scalars(path: Path) -> dict[str, float]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "gen_loss" not in payload:
+    gen_loss = payload.get("gen_loss") if isinstance(payload, dict) else None
+    if not isinstance(gen_loss, dict):
         raise ValueError(f"{path}: expected a genloss report with a 'gen_loss' map")
-    return {str(k): float(v) for k, v in payload["gen_loss"].items()}
+    try:
+        return {str(k): float(v) for k, v in gen_loss.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: gen_loss values must be numbers: {exc}") from None
 
 
 def _build_candidates(
@@ -229,6 +247,8 @@ def _load_tasks_jsonl(path: Path) -> tuple[SamplingTask, ...]:
         for lineno, line in enumerate(fh, start=1):
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("expected a JSON object")
                 tasks.append(
                     SamplingTask(
                         task_id=str(obj["task_id"]),
@@ -236,7 +256,7 @@ def _load_tasks_jsonl(path: Path) -> tuple[SamplingTask, ...]:
                         benchmark_id=str(obj["benchmark"]),
                     )
                 )
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not tasks:
         raise ValueError(f"{path}: no tasks")
@@ -375,52 +395,32 @@ def cmd_evaluate(args) -> None:
     if genloss_path is not None:
         metric_names += ["genloss", f"avg:passk:{args.k}+genloss"]
 
-    def metric_x(cand, name):
-        comp = parse_metric(name)
-        if len(comp) > 1:
-            return None  # composite metrics are evaluated via predictions only
-        kind = comp[0]
-        if kind[0] == "pass1":
-            return cand.pass1
-        if kind[0] == "genloss":
-            return cand.gen_loss
-        return cand.metrics.passk.value_at(kind[1])
-
+    ys = [c.post_rl_pass1 for c in labeled]
     results = {}
     for name in metric_names:
         predictions = calibrate_and_predict(labeled, name)
-        ys = [c.post_rl_pass1 for c in labeled]
-        rho = spearman([predictions[c.checkpoint_id] for c in labeled], ys)
-        entry = {"spearman": rho}
-        x_of = metric_x(labeled[0], name)
-        if x_of is not None:
-            points = [
-                LabeledPoint(c.checkpoint_id, metric_x(c, name), c.post_rl_pass1)
+        points = {
+            component_name(comp): [
+                LabeledPoint(c.checkpoint_id, component_value(c, comp), c.post_rl_pass1)
                 for c in labeled
             ]
-            protocol = repeated_split_eval(
-                points, n_fit=args.n_fit, repeats=args.repeats, seed=args.seed
-            )
+            for comp in parse_metric(name)
+        }
+        if len(points) == 1:
+            [single] = points.values()
+            protocol = repeated_split_eval(single, args.n_fit, args.repeats, args.seed)
         else:
-            points = [
-                LabeledPoint(c.checkpoint_id, predictions[c.checkpoint_id], c.post_rl_pass1)
-                for c in labeled
-            ]
-            protocol = repeated_split_eval(
-                points, n_fit=args.n_fit, repeats=args.repeats, seed=args.seed
-            )
-        entry.update(
-            {
-                "mean_r2": protocol.mean_r2,
-                "sd_r2": protocol.dispersion,
-                "stderr_r2": protocol.stderr,
-                "per_repeat_r2": list(protocol.per_repeat_r2),
-                "skipped": protocol.skipped,
-                "n_fit": protocol.n_fit,
-                "n_val": protocol.n_val,
-            }
-        )
-        results[name] = entry
+            protocol = repeated_split_eval_combined(points, args.n_fit, args.repeats, args.seed)
+        results[name] = {
+            "spearman": spearman([predictions[c.checkpoint_id] for c in labeled], ys),
+            "mean_r2": protocol.mean_r2,
+            "sd_r2": protocol.dispersion,
+            "stderr_r2": protocol.stderr,
+            "per_repeat_r2": list(protocol.per_repeat_r2),
+            "skipped": protocol.skipped,
+            "n_fit": protocol.n_fit,
+            "n_val": protocol.n_val,
+        }
 
     inputs = {"metrics": Path(args.metrics), "labels": Path(args.labels)}
     if genloss_path:

@@ -84,12 +84,15 @@ def pareto_rule_out(
 ) -> tuple[list[Candidate], list[tuple[str, str]]]:
     """Partition candidates into (survivors, ruled_out) on (pass1, gen_loss).
 
-    A is ruled out iff some B has pass1 >= A's and gen_loss <= A's with at
-    least one strict inequality; survivors are exactly the Pareto frontier of
-    (maximize pass1, minimize gen_loss). Setting epsilon > 0 demands margins
-    of at least epsilon on both axes before a candidate is dropped. Output is
-    independent of input order; ruled_out entries name a deterministic
-    dominator (lowest loss, then highest pass1, then id).
+    B dominates A iff B.pass1 >= A.pass1 + epsilon and
+    B.gen_loss <= A.gen_loss - epsilon, and B is strictly better than A on
+    at least one axis (B.pass1 > A.pass1 or B.gen_loss < A.gen_loss). A is
+    ruled out iff some B dominates it. At epsilon 0 the survivors are exactly
+    the Pareto frontier of (maximize pass1, minimize gen_loss); a larger
+    epsilon demands that margin on both axes. The strictness rule holds at
+    every epsilon, so exact duplicates never rule each other out. Output is
+    independent of input order; each ruled_out entry names the dominator
+    that is least by (gen_loss, -pass1, checkpoint_id).
     """
     _check_unique(candidates)
     if epsilon < 0:
@@ -98,51 +101,15 @@ def pareto_rule_out(
     if missing:
         raise ValueError(f"candidates missing gen_loss: {', '.join(missing)}")
 
-    if epsilon > 0:
-        return _rule_out_with_margin(candidates, epsilon)
-
-    ordered = sorted(candidates, key=lambda c: (-c.pass1, c.gen_loss, c.checkpoint_id))
-    survivors: list[Candidate] = []
-    ruled: list[tuple[str, str]] = []
-    best_higher: Candidate | None = None  # best (by _dominator_key) among strictly higher pass1
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and ordered[j + 1].pass1 == ordered[i].pass1:
-            j += 1
-        group = ordered[i : j + 1]
-        group_best = min(group, key=_dominator_key)
-        for cand in group:
-            dominators = []
-            if best_higher is not None and best_higher.gen_loss <= cand.gen_loss:
-                dominators.append(best_higher)
-            if group_best.gen_loss < cand.gen_loss:
-                dominators.append(group_best)
-            if dominators:
-                by = min(dominators, key=_dominator_key)
-                ruled.append((cand.checkpoint_id, by.checkpoint_id))
-            else:
-                survivors.append(cand)
-        if best_higher is None or _dominator_key(group_best) < _dominator_key(best_higher):
-            best_higher = group_best
-        i = j + 1
-    survivors.sort(key=lambda c: c.checkpoint_id)
-    ruled.sort()
-    return survivors, ruled
-
-
-def _rule_out_with_margin(
-    candidates: Sequence[Candidate], epsilon: float
-) -> tuple[list[Candidate], list[tuple[str, str]]]:
     survivors: list[Candidate] = []
     ruled: list[tuple[str, str]] = []
     for cand in candidates:
         dominators = [
             other
             for other in candidates
-            if other.checkpoint_id != cand.checkpoint_id
-            and other.pass1 >= cand.pass1 + epsilon
+            if other.pass1 >= cand.pass1 + epsilon
             and other.gen_loss <= cand.gen_loss - epsilon
+            and (other.pass1 > cand.pass1 or other.gen_loss < cand.gen_loss)
         ]
         if dominators:
             by = min(dominators, key=_dominator_key)

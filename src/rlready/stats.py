@@ -2,9 +2,8 @@
 
 The centerpiece is repeated_split_eval: draw a fitting subset uniformly at
 random, fit a line on it, score R-squared on the held-out remainder, and
-repeat. Each repeat derives its RNG from (seed, repeat index), so serial and
-parallel execution produce identical results and the whole protocol is
-reproducible from the seed alone.
+repeat. Each repeat derives its RNG from (seed, repeat index), so the whole
+protocol is reproducible from the seed alone.
 
 R-squared here is prediction quality on held-out points, 1 - SS_res/SS_tot
 around the holdout mean. It can be negative (a fit worse than predicting the
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -184,7 +182,6 @@ def repeated_split_eval(
     repeats: int,
     seed: int,
     stratify_by: Mapping[str, str] | None = None,
-    parallel: bool = False,
 ) -> EvalProtocolResult:
     """Repeat: fit on a random n_fit subset, score R² on the remainder.
 
@@ -192,43 +189,9 @@ def repeated_split_eval(
     seed); callers who want order-independence should sort points by
     checkpoint_id first (the CLI does). stratify_by optionally maps
     checkpoint_id to a group label and makes each draw proportional per
-    group. parallel computes repeats on a thread pool; results are identical
-    to serial because each repeat owns an RNG derived from (seed, index).
+    group.
     """
-    points = list(points)
-    m = len(points)
-    if m < 4:
-        raise ValueError(f"need >= 4 labeled points for a fit/validation split, got {m}")
-    if not 2 <= n_fit <= m - 2:
-        raise ValueError(f"n_fit must be in [2, {m - 2}], got {n_fit}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-
-    groups: list[tuple[str, list[int]]] | None = None
-    if stratify_by is not None:
-        by_group: dict[str, list[int]] = {}
-        for i, p in enumerate(points):
-            if p.checkpoint_id not in stratify_by:
-                raise ValueError(f"checkpoint {p.checkpoint_id!r} missing from stratify_by")
-            by_group.setdefault(stratify_by[p.checkpoint_id], []).append(i)
-        groups = sorted(by_group.items())
-
-    def one_repeat(r: int) -> float | None:
-        rng = _repeat_rng(seed, r)
-        if groups is None:
-            fit_idx = set(rng.sample(range(m), n_fit))
-        else:
-            fit_idx = set(_stratified_indices(rng, groups, n_fit, m))
-        fit_points = [points[i] for i in sorted(fit_idx)]
-        holdout = [points[i] for i in range(m) if i not in fit_idx]
-        if len({p.x for p in fit_points}) == 1:
-            return None
-        if len({p.y for p in holdout}) == 1:
-            return None
-        return r_squared(fit_linear(fit_points), holdout)
-
-    raw = _run_repeats(one_repeat, repeats, parallel)
-    return _finish_protocol(raw, n_fit, m - n_fit, repeats, seed)
+    return _split_eval([list(points)], n_fit, repeats, seed, stratify_by)
 
 
 def repeated_split_eval_combined(
@@ -236,7 +199,6 @@ def repeated_split_eval_combined(
     n_fit: int,
     repeats: int,
     seed: int,
-    parallel: bool = False,
 ) -> EvalProtocolResult:
     """Repeated-split protocol for an averaged multi-metric predictor.
 
@@ -250,7 +212,6 @@ def repeated_split_eval_combined(
     if len(names) < 2:
         raise ValueError(f"need >= 2 metrics to combine, got {len(names)}")
     lists = [list(metric_points[name]) for name in names]
-    m = len(lists[0])
     reference = [(p.checkpoint_id, p.y) for p in lists[0]]
     for name, lst in zip(names[1:], lists[1:]):
         if [(p.checkpoint_id, p.y) for p in lst] != reference:
@@ -258,51 +219,62 @@ def repeated_split_eval_combined(
                 f"metric {name!r} points are not aligned with {names[0]!r} "
                 "(checkpoints, order and labels must match)"
             )
+    return _split_eval(lists, n_fit, repeats, seed, None)
+
+
+def _split_eval(
+    lists: list[list[LabeledPoint]],
+    n_fit: int,
+    repeats: int,
+    seed: int,
+    stratify_by: Mapping[str, str] | None,
+) -> EvalProtocolResult:
+    # lists are aligned point lists, one per metric; the predictor is the mean
+    # of each metric's fit, so a single list is the plain one-metric protocol
+    m = len(lists[0])
     if m < 4:
         raise ValueError(f"need >= 4 labeled points for a fit/validation split, got {m}")
     if not 2 <= n_fit <= m - 2:
         raise ValueError(f"n_fit must be in [2, {m - 2}], got {n_fit}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+    groups: list[tuple[str, list[int]]] | None = None
+    if stratify_by is not None:
+        by_group: dict[str, list[int]] = {}
+        for i, p in enumerate(lists[0]):
+            if p.checkpoint_id not in stratify_by:
+                raise ValueError(f"checkpoint {p.checkpoint_id!r} missing from stratify_by")
+            by_group.setdefault(stratify_by[p.checkpoint_id], []).append(i)
+        groups = sorted(by_group.items())
+
     ys = [p.y for p in lists[0]]
+    n_metrics = len(lists)
 
     def one_repeat(r: int) -> float | None:
         rng = _repeat_rng(seed, r)
-        fit_idx = set(rng.sample(range(m), n_fit))
+        if groups is None:
+            fit_idx = set(rng.sample(range(m), n_fit))
+        else:
+            fit_idx = set(_stratified_indices(rng, groups, n_fit, m))
         holdout_idx = [i for i in range(m) if i not in fit_idx]
-        if len({ys[i] for i in holdout_idx}) == 1:
+        y_true = [ys[i] for i in holdout_idx]
+        if len(set(y_true)) == 1:
             return None
-        fits = []
+        fit_order = sorted(fit_idx)
+        preds = [0.0] * len(holdout_idx)
         for lst in lists:
-            fit_points = [lst[i] for i in sorted(fit_idx)]
+            fit_points = [lst[i] for i in fit_order]
             if len({p.x for p in fit_points}) == 1:
                 return None
-            fits.append(fit_linear(fit_points))
-        y_true = [ys[i] for i in holdout_idx]
-        preds = [
-            sum(fit.predict(lst[i].x) for fit, lst in zip(fits, lists)) / len(lists)
-            for i in holdout_idx
-        ]
+            fit = fit_linear(fit_points)
+            preds = [p + fit.predict(lst[i].x) for p, i in zip(preds, holdout_idx)]
         y_mean = sum(y_true) / len(y_true)
         ss_tot = sum((y - y_mean) ** 2 for y in y_true)
-        ss_res = sum((y - p) ** 2 for y, p in zip(y_true, preds))
+        ss_res = sum((y - p / n_metrics) ** 2 for y, p in zip(y_true, preds))
         return 1.0 - ss_res / ss_tot
 
-    raw = _run_repeats(one_repeat, repeats, parallel)
-    return _finish_protocol(raw, n_fit, m - n_fit, repeats, seed)
-
-
-def _run_repeats(one_repeat, repeats: int, parallel: bool) -> list[float | None]:
-    if parallel:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            return list(pool.map(one_repeat, range(repeats)))
-    return [one_repeat(r) for r in range(repeats)]
-
-
-def _finish_protocol(
-    raw: Sequence[float | None], n_fit: int, n_val: int, repeats: int, seed: int
-) -> EvalProtocolResult:
-    kept = tuple(v for v in raw if v is not None)
+    kept = tuple(v for v in map(one_repeat, range(repeats)) if v is not None)
     skipped = repeats - len(kept)
     if not kept:
         raise ValueError(f"all {repeats} repeats drew degenerate splits")
@@ -317,7 +289,7 @@ def _finish_protocol(
         dispersion=sd,
         stderr=sd / math.sqrt(len(kept)),
         n_fit=n_fit,
-        n_val=n_val,
+        n_val=m - n_fit,
         repeats=repeats,
         skipped=skipped,
         seed=seed,

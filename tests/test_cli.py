@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from rlready.cli import METRICS_CSV_MARKER, main
+from rlready.stats import LabeledPoint, repeated_split_eval, repeated_split_eval_combined
 
 K = 64
 
@@ -124,6 +125,47 @@ def test_evaluate_exits_zero_with_one_entry_per_predictor(inputs):
         assert len(entry["per_repeat_r2"]) + entry["skipped"] == 5
 
 
+def test_evaluate_scores_every_predictor_out_of_sample(inputs):
+    out = inputs["dir"] / "evaluate.json"
+    argv = ["evaluate", "--metrics", str(inputs["metrics"]), "--labels", str(inputs["labels"]),
+            "--genloss", str(inputs["genloss"]), "--n-fit", "3", "--repeats", "200",
+            "--seed", "0", "--k", str(K), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))["metrics"]
+    points = {
+        name: [LabeledPoint(c, CHECKPOINTS[c][col], CHECKPOINTS[c][3]) for c in LABELED]
+        for name, col in (("pass1", 0), (f"passk:{K}", 1), ("genloss", 2))
+    }
+    expected = {name: repeated_split_eval(pts, 3, 200, 0) for name, pts in points.items()}
+    # the composite fits each component on the fit subset only, never on the holdout
+    expected[f"avg:passk:{K}+genloss"] = repeated_split_eval_combined(
+        {name: points[name] for name in (f"passk:{K}", "genloss")}, 3, 200, 0
+    )
+    for name, protocol in expected.items():
+        entry = report[name]
+        assert entry["per_repeat_r2"] == list(protocol.per_repeat_r2), name
+        assert entry["mean_r2"] == protocol.mean_r2, name
+        assert entry["skipped"] == protocol.skipped, name
+
+
+@pytest.mark.parametrize("case", ["task line not an object", "gen_loss not a map"])
+def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
+    d = inputs["dir"]
+    if case == "task line not an object":
+        (d / "tasks.jsonl").write_text("[1, 2]\n", encoding="utf-8")
+        config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
+                  "tasks_path": str(d / "tasks.jsonl"), "n": 1}
+        (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
+    else:
+        (d / "bad-genloss.json").write_text(json.dumps({"gen_loss": [1]}), encoding="utf-8")
+        argv = ["rank", "--metrics", str(inputs["metrics"]), "--k", str(K),
+                "--genloss", str(d / "bad-genloss.json"), "--out", str(d / "rank.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: validation: "), err
+
+
 # ------------------------------------------------------------ golden pipeline
 
 GOLDEN_K = 4
@@ -209,7 +251,7 @@ GOLDEN_SHA256 = {
     "rank-eps.json": "9934b57b03597769e4a10b070a922f92f7d6be7dddc9ead7c1310b407b01f24f",
     "predict-avg.json": "80175de63f27f1bc91d8b03b6e1ddd508fabc62abf6bf5a074cf219d82285a13",
     "predict-joint.json": "36030b5573cd9704eb9e62aeabb101ceff1c78987720be5c6ac9fac2a8329f99",
-    "evaluate.json": "d8e4eeac4576d1247c24533580c0cf3402a81e420dcf3f685f74229f8e8b5b77",
+    "evaluate.json": "7e6346b46f690a2152274f2e5dba61ada63ec1b079b3b556a6b694d19a29fd5e",
     "plot.svg": "aa6ccd21f1a554c6be0122af9e955b0524918fe55986562a5bd4d6ba65086ed1",
 }
 

@@ -27,17 +27,24 @@ def make_candidate(ckpt, pass1, gen_loss=None, pass64=None, label=None):
     return Candidate(ckpt, metrics, post_rl_pass1=label)
 
 
-def dominance_oracle(candidates):
-    """O(n^2) dominance check straight from the definition."""
-    ruled = set()
+def dominance_oracle(candidates, epsilon=0.0):
+    """O(n^2) dominance check straight from the definition.
+
+    Maps each ruled-out id to its expected dominator: the least of all its
+    dominators by (gen_loss, -pass1, checkpoint_id).
+    """
+    dominators = {}
     for a, b in itertools.permutations(candidates, 2):
         if (
-            b.pass1 >= a.pass1
-            and b.gen_loss <= a.gen_loss
+            b.pass1 >= a.pass1 + epsilon
+            and b.gen_loss <= a.gen_loss - epsilon
             and (b.pass1 > a.pass1 or b.gen_loss < a.gen_loss)
         ):
-            ruled.add(a.checkpoint_id)
-    return ruled
+            dominators.setdefault(a.checkpoint_id, []).append(b)
+    return {
+        ckpt: min(found, key=lambda b: (b.gen_loss, -b.pass1, b.checkpoint_id)).checkpoint_id
+        for ckpt, found in dominators.items()
+    }
 
 
 class TestParetoRuleOut:
@@ -70,6 +77,7 @@ class TestParetoRuleOut:
         rng = random.Random(123)
         for trial in range(300):
             size = rng.randint(1, 20)
+            epsilon = rng.choice([0.0, 0.0, 0.05, 0.1])
             cands = [
                 make_candidate(
                     f"c{i:02d}",
@@ -78,12 +86,12 @@ class TestParetoRuleOut:
                 )
                 for i in range(size)
             ]
-            survivors, ruled = pareto_rule_out(cands)
-            expected = dominance_oracle(cands)
-            assert {r[0] for r in ruled} == expected, f"trial {trial}"
+            survivors, ruled = pareto_rule_out(cands, epsilon=epsilon)
+            expected = dominance_oracle(cands, epsilon)
+            assert ruled == sorted(expected.items()), f"trial {trial}"
             assert {c.checkpoint_id for c in survivors} == {
                 c.checkpoint_id for c in cands
-            } - expected
+            } - set(expected)
 
     def test_order_independent(self):
         rng = random.Random(9)
@@ -105,7 +113,7 @@ class TestParetoRuleOut:
             ]
             survivors, _ = pareto_rule_out(cands)
             survivor_ids = {c.checkpoint_id for c in survivors}
-            assert not (survivor_ids & dominance_oracle(cands))
+            assert not (survivor_ids & set(dominance_oracle(cands)))
 
     def test_epsilon_margin(self):
         a = make_candidate("A", 0.30, gen_loss=1.00)

@@ -15,6 +15,7 @@ from rlready.stats import (
     fit_linear,
     r_squared,
     repeated_split_eval,
+    repeated_split_eval_combined,
     spearman,
 )
 
@@ -191,11 +192,12 @@ class TestRepeatedSplitEval:
         b = repeated_split_eval(points, n_fit=8, repeats=40, seed=8)
         assert a.per_repeat_r2 != b.per_repeat_r2
 
-    def test_parallel_matches_serial(self):
-        points = self._noisy_points()
-        serial = repeated_split_eval(points, n_fit=6, repeats=64, seed=1)
-        threaded = repeated_split_eval(points, n_fit=6, repeats=64, seed=1, parallel=True)
-        assert serial == threaded
+    def test_combined_of_identical_metrics_matches_single(self):
+        degenerate = pts((0.0, 0.1), (0.0, 0.2), (0.0, 0.3), (1.0, 0.9), (1.0, 0.8), (1.0, 0.7))
+        for points, n_fit in ((self._noisy_points(), 6), (degenerate, 3)):
+            single = repeated_split_eval(points, n_fit, 64, 1)
+            combined = repeated_split_eval_combined({"a": points, "b": points}, n_fit, 64, 1)
+            assert combined == single
 
     def test_mean_matches_per_repeat(self):
         res = repeated_split_eval(self._noisy_points(), n_fit=8, repeats=30, seed=2)
