@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,9 +111,17 @@ class _TaskState:
 
 
 def _fetch_one(
-    job: SamplingJob, url: str, headers: dict, task: SamplingTask, index: int
+    local: threading.local,
+    job: SamplingJob,
+    url: str,
+    headers: dict,
+    task: SamplingTask,
+    index: int,
 ) -> tuple[int, str, str | None]:
-    """One completion request with retry; returns (index, text, finish_reason)."""
+    """One completion request with retry; returns (index, text, finish_reason).
+
+    Posts through local.session, the calling worker thread's own Session.
+    """
     prompt = task.problem + "\n" + job.prompt_suffix
     payload = {
         "model": job.model_name,
@@ -125,7 +135,7 @@ def _fetch_one(
         if attempt:
             time.sleep(job.retry_backoff * 2 ** (attempt - 1))
         try:
-            resp = requests.post(
+            resp = local.session.post(
                 url, json=payload, headers=headers, timeout=job.request_timeout
             )
             if 400 <= resp.status_code < 500:
@@ -175,9 +185,19 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
     store.set_metadata("request_template", job.request_template())
     written = 0
     failures: list[dict] = []
-    with ThreadPoolExecutor(max_workers=job.max_concurrency) as pool:
+    # one Session per worker thread, so each worker reuses its connection;
+    # the sessions close after the pool has joined its workers
+    local = threading.local()
+    sessions = ExitStack()
+
+    def open_session() -> None:
+        local.session = sessions.enter_context(requests.Session())
+
+    with sessions, ThreadPoolExecutor(
+        max_workers=job.max_concurrency, initializer=open_session
+    ) as pool:
         future_unit = {
-            pool.submit(_fetch_one, job, url, headers, task, index): (task, index)
+            pool.submit(_fetch_one, local, job, url, headers, task, index): (task, index)
             for task, index in units
         }
         not_done = set(future_unit)

@@ -24,6 +24,7 @@ from .passk import TaskOutcome
 RULESET_VERSION = "1"
 
 _BOXED = re.compile(r"\\boxed\s*\{")
+_BRACE = re.compile(r"[{}]")
 _LEFT_RIGHT = re.compile(r"\\left\b|\\right\b")
 _DFRAC = re.compile(r"\\dfrac\b")
 _FRAC = re.compile(r"\\frac\{([^{}]+)\}\{([^{}]+)\}")
@@ -63,35 +64,26 @@ def extract_boxed(text: str) -> str | None:
     """Contents of the last well-formed \\boxed{...} in text, or None.
 
     Brace matching is balanced, so nested groups like \\boxed{\\dfrac{1}{2}}
-    come back whole. Missing or never-closed boxes yield None; this never
-    raises, whatever the input.
+    come back whole. Missing or never-closed boxes yield None, and a box that
+    never closes falls back to the closed box before it; this never raises,
+    whatever the input.
+
+    The boxes are tried from the last to the first, each brace-matched
+    forward from its content; the first that closes is the answer. The scan
+    is linear in len(text) even when no box closes: an earlier box still
+    open at a failed box's "{" can never close, because the failed box keeps
+    the depth above zero from there on, so each scan stops at that "{"
+    (limit) and no character is scanned twice.
     """
-    starts = {m.start(): m.end() for m in _BOXED.finditer(text)}
-    if not starts:
-        return None
-    best: tuple[int, str] | None = None
-    depth = 0
-    pending: list[tuple[int, int]] = []  # (content start, depth at open)
-    i = 0
-    n = len(text)
-    while i < n:
-        content_start = starts.get(i)
-        if content_start is not None:
-            pending.append((content_start, depth))
-            depth += 1
-            i = content_start
-            continue
-        ch = text[i]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if pending and pending[-1][1] == depth:
-                start, _ = pending.pop()
-                if best is None or start > best[0]:
-                    best = (start, text[start:i])
-        i += 1
-    return best[1] if best is not None else None
+    limit = len(text)
+    for start in reversed([m.end() for m in _BOXED.finditer(text)]):
+        depth = 1
+        for brace in _BRACE.finditer(text, start, limit):
+            depth += 1 if brace.group() == "{" else -1
+            if depth == 0:
+                return text[start : brace.start()]
+        limit = start - 1  # this box's "{"
+    return None
 
 
 def normalize(answer: str) -> str:
@@ -179,11 +171,16 @@ def score(samples: Sequence[Sample], gold: GoldAnswer) -> TaskOutcome:
     checkpoints = sorted({s.checkpoint_id for s in samples})
     if len(checkpoints) > 1:
         raise ValueError(f"samples span multiple checkpoints: {checkpoints}")
+    # one task's samples share a few distinct answers; answers_equal is pure
+    verdicts: dict[str, bool] = {}
     c = 0
     for s in samples:
         boxed = extract_boxed(s.text)
-        if boxed is not None and answers_equal(boxed, gold.answer):
-            c += 1
+        if boxed is None:
+            continue
+        if boxed not in verdicts:
+            verdicts[boxed] = answers_equal(boxed, gold.answer)
+        c += verdicts[boxed]
     return TaskOutcome(
         checkpoint_id=checkpoints[0],
         benchmark_id=gold.benchmark_id,

@@ -166,6 +166,30 @@ def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("n", "4"), ("endpoint_url", 5), ("temperature", "hot"), ("n", True),
+     ("temperature", False), ("max_concurrency", 2.5), ("model_name", None)],
+)
+def test_collect_config_of_wrong_type_exits_one_with_one_error_line(
+    inputs, key, value, capsys
+):
+    d = inputs["dir"]
+    (d / "tasks.jsonl").write_text(
+        json.dumps({"task_id": "t0", "problem": "p", "benchmark": "b"}) + "\n",
+        encoding="utf-8",
+    )
+    config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
+              "tasks_path": str(d / "tasks.jsonl"), "n": 1, key: value}
+    (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: validation: "), err
+    assert repr(key) in err[0]
+    assert not (d / "store").exists()
+
+
 # ------------------------------------------------------------ golden pipeline
 
 GOLDEN_K = 4

@@ -1,4 +1,5 @@
 import pytest
+import requests
 
 from mockserver import run_server
 from rlready.records import RecordStore
@@ -100,6 +101,27 @@ class TestSampleCompletions:
             assert server.max_in_flight <= 2
             assert server.max_in_flight == 2  # the bound is actually exercised
         store.verify()
+
+    def test_one_session_per_worker_thread(self, tmp_path, monkeypatch):
+        opened, closed = [], []
+
+        class CountingSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                opened.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(requests, "Session", CountingSession)
+        with run_server() as server:
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url, n_tasks=5, n=4, max_concurrency=2)
+            assert sample_completions(job, store) == 20
+            assert server.request_count == 20
+        assert 1 <= len(opened) <= 2
+        assert set(closed) == set(opened)
 
     def test_exhausted_retries_records_sidecar_and_continues(self, tmp_path):
         # requests for task t0 always fail; t1 succeeds

@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_verifier import EQUALITY_CASES, EXTRACTION_CASES, NORMALIZATION_CASES
+from reference_verifier import extract_boxed as reference_extract_boxed
+from rlready import verifier
 from rlready.verifier import (
     GoldAnswer,
     Sample,
@@ -47,6 +50,40 @@ def test_extraction_handles_megabyte_input():
 def test_extraction_on_large_nonascii_text():
     filler = "π≈3.14159✓ " * 50_000
     assert extract_boxed(filler + "\\boxed{答案}") == "答案"
+
+
+# the boxed-answer hazards: spaced and broken box openers, stray braces,
+# escapes, nested groups and plain words
+_HAZARD_TOKENS = st.sampled_from(
+    [
+        "\\boxed{",
+        "\\boxed {",
+        "\\boxed\n{",
+        "\\boxed",
+        "{",
+        "}",
+        "\\",
+        "\\dfrac{1}{2}",
+        "a",
+        "b",
+    ]
+)
+
+
+@settings(max_examples=1000)
+@given(st.lists(_HAZARD_TOKENS, max_size=40))
+def test_extraction_matches_character_walk(tokens):
+    text = "".join(tokens)
+    assert extract_boxed(text) == reference_extract_boxed(text)
+
+
+def test_extraction_is_linear_when_no_box_closes():
+    # every box is open at the next one's "{", so none can close; a reverse
+    # scan that rescans to the end from each box would be quadratic here
+    text = "\\boxed{" * 50_000
+    start = time.perf_counter()
+    assert extract_boxed(text) is None
+    assert time.perf_counter() - start < 2.0
 
 
 @given(st.text(max_size=300))
@@ -112,6 +149,19 @@ class TestScore:
             rng.shuffle(samples)
             shuffled = score(samples, gold)
             assert (shuffled.n, shuffled.c) == (base.n, base.c)
+
+    def test_each_distinct_answer_is_compared_once(self, monkeypatch):
+        calls = []
+
+        def counting_answers_equal(a, b):
+            calls.append(a)
+            return answers_equal(a, b)
+
+        monkeypatch.setattr(verifier, "answers_equal", counting_answers_equal)
+        texts = ["\\boxed{1/2}", "\\boxed{0.5}", "\\boxed{1/2}", "no", "\\boxed{0.5}"]
+        out = score(self._samples(texts), GoldAnswer("math500", "t1", "0.5"))
+        assert (out.n, out.c) == (5, 4)
+        assert sorted(calls) == ["0.5", "1/2"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
