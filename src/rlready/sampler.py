@@ -15,12 +15,13 @@ rerunning after a crash or partial failure fills exactly the gaps.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import requests
@@ -33,6 +34,8 @@ REASONING_PROMPT_SUFFIX = (
     "Let's think step by step and output the final answer within \\boxed{}."
 )
 FAILURES_SIDECAR = "failures.jsonl"
+# the values a SamplingJob field annotated with each type accepts
+_ACCEPTED = {"str": str, "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,26 @@ class SamplingJob:
     request_timeout: float = 120.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted = _ACCEPTED.get(f.type)
+            # bool is an int subclass, but true is never a count or a temperature
+            if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+                raise ValueError(f"{f.name!r} must be {f.type}, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
+            raise ValueError(f"retry_backoff must be finite and >= 0, got {self.retry_backoff}")
+        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
+            raise ValueError(f"request_timeout must be finite and > 0, got {self.request_timeout}")
         object.__setattr__(self, "tasks", tuple(self.tasks))
         seen = set()
         for task in self.tasks:

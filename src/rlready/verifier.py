@@ -171,7 +171,8 @@ def score(samples: Sequence[Sample], gold: GoldAnswer) -> TaskOutcome:
     checkpoints = sorted({s.checkpoint_id for s in samples})
     if len(checkpoints) > 1:
         raise ValueError(f"samples span multiple checkpoints: {checkpoints}")
-    # one task's samples share a few distinct answers; answers_equal is pure
+    # samples of one task repeat answers (half of them in the score benchmark's
+    # inputs), so each distinct one is compared once; answers_equal is pure
     verdicts: dict[str, bool] = {}
     c = 0
     for s in samples:

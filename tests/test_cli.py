@@ -169,9 +169,11 @@ def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
 @pytest.mark.parametrize(
     "key,value",
     [("n", "4"), ("endpoint_url", 5), ("temperature", "hot"), ("n", True),
-     ("temperature", False), ("max_concurrency", 2.5), ("model_name", None)],
+     ("temperature", False), ("max_concurrency", 2.5), ("model_name", None),
+     ("tasks_path", 5), ("temperature", float("nan")), ("retry_backoff", -1),
+     ("request_timeout", 0)],
 )
-def test_collect_config_of_wrong_type_exits_one_with_one_error_line(
+def test_collect_config_of_wrong_type_or_range_exits_one_with_one_error_line(
     inputs, key, value, capsys
 ):
     d = inputs["dir"]
@@ -186,7 +188,7 @@ def test_collect_config_of_wrong_type_exits_one_with_one_error_line(
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
-    assert repr(key) in err[0]
+    assert key in err[0]
     assert not (d / "store").exists()
 
 

@@ -224,6 +224,20 @@ class TestSamplingJobValidation:
         with pytest.raises(ValueError, match="max_concurrency"):
             SamplingJob("http://x", "m", (task,), n=1, max_concurrency=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", "4"), ("n", True), ("endpoint_url", 5), ("temperature", "hot"),
+         ("temperature", float("nan")), ("temperature", float("inf")),
+         ("retry_backoff", -0.1), ("request_timeout", 0), ("request_timeout", float("nan"))],
+    )
+    def test_wrong_type_or_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_job("http://x", **{field: value})
+
+    def test_int_accepted_for_float_fields(self):
+        job = make_job("http://x", temperature=0, retry_backoff=0, request_timeout=30)
+        assert (job.temperature, job.retry_backoff, job.request_timeout) == (0, 0, 30)
+
     def test_duplicate_tasks_rejected(self):
         task = SamplingTask("t", "p", "b")
         with pytest.raises(ValueError, match="duplicate task"):
