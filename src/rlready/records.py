@@ -11,14 +11,17 @@ One line schema per record kind:
 
 Loaders reject the whole file on the first invalid line, reporting the line
 number and offending field, and enforce per-kind uniqueness keys. The store
-is append-only with a manifest tracking per-file line counts and content
-hashes, so every derived number can be audited back to raw records.
+is append-only with a manifest tracking per-file line counts and whole-file
+sha256 hashes, so every derived number can be audited back to raw records.
+The store keeps each file's hash running across appends, so an append costs
+the bytes it writes, not the size of the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -286,21 +289,33 @@ def aggregate_genloss(
     return sum(r.nll_sum / r.token_count for r in records) / len(records)
 
 
-def file_sha256(path: str | Path) -> str:
+def _sha256_of(path: str | Path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    return digest
+
+
+def file_sha256(path: str | Path) -> str:
+    return _sha256_of(path).hexdigest()
 
 
 class RecordStore:
     """Append-only JSONL store with a manifest of counts and content hashes.
 
     Record files live under root as <kind>.jsonl; manifest.json tracks, per
-    kind, the file path, line count and sha256, plus free-form metadata (for
-    example the frozen sampling request template). Files are only ever
-    appended to.
+    kind, the file path, line count and sha256 of the whole file, plus
+    free-form metadata (for example the frozen sampling request template).
+    Files are only ever appended to.
+
+    The sha256 is kept running: the first append of a kind hashes whatever
+    the file holds, and every later append feeds the hash exactly the bytes
+    it writes. So the store must be the only writer of its files while it is
+    open; bytes written behind its back are missing from the manifest's hash,
+    and verify() reports the mismatch. The manifest is replaced atomically
+    (temp file, then os.replace), so a crashed process leaves the old one or
+    the new one, never a torn one.
     """
 
     MANIFEST = "manifest.json"
@@ -314,6 +329,7 @@ class RecordStore:
                 self._manifest = json.load(fh)
         else:
             self._manifest = {"records": {}, "metadata": {}}
+        self._hashes: dict[str, Any] = {}  # kind -> running sha256 of its file
 
     def path(self, kind: str) -> Path:
         _check_kind(kind)
@@ -330,13 +346,24 @@ class RecordStore:
         if not records:
             return 0
         path = self.path(kind)
-        with open(path, "a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(to_json_line(kind, record) + "\n")
+        digest = self._hashes.get(kind)
+        if digest is None:
+            digest = _sha256_of(path) if path.exists() else hashlib.sha256()
+            self._hashes[kind] = digest
+        try:
+            # line by line: joining the batch would hold a second copy of it
+            with open(path, "ab") as fh:
+                for record in records:
+                    line = (to_json_line(kind, record) + "\n").encode("utf-8")
+                    fh.write(line)
+                    digest.update(line)
+        except BaseException:
+            del self._hashes[kind]  # the next append rehashes what was written
+            raise
         self._manifest["records"][kind] = {
             "path": path.name,
             "count": self.count(kind) + len(records),
-            "sha256": file_sha256(path),
+            "sha256": digest.hexdigest(),
         }
         self._write_manifest()
         return len(records)
@@ -370,6 +397,12 @@ class RecordStore:
                 raise ValueError(f"{path}: content hash mismatch")
 
     def _write_manifest(self) -> None:
-        with open(self._manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(self._manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tmp = self._manifest_path.with_name(self.MANIFEST + ".tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self._manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, self._manifest_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

@@ -2,29 +2,40 @@
 
 Each sample is one POST to <endpoint>/v1/completions (n=1 per request keeps
 every completion auditable). Requests run on a thread pool of size
-max_concurrency, which bounds in-flight requests; the store is written only
-from the coordinating thread, one task at a time with samples in index
-order.
+max_concurrency, which bounds in-flight requests; each worker thread keeps
+one keep-alive http.client connection for the whole run. The coordinating
+thread takes completions as they finish (concurrent.futures.as_completed, so
+O(1) per completion however many are pending) and is the only writer of the
+store, one task at a time with samples in index order.
 
-Failed requests retry with exponential backoff; a task whose request budget
-runs out is recorded in a failures sidecar and the run continues. Resume is
-idempotent: (task, sample_index) pairs already in the store are skipped, so
-rerunning after a crash or partial failure fills exactly the gaps.
+Failed requests retry with exponential backoff: connection errors, malformed
+bodies, HTTP 5xx, 408 and 429 retry (a whole-second Retry-After lengthens the
+wait), other 4xx fail at once. A task whose request budget runs out is
+recorded in a failures sidecar and the run continues. Resume is idempotent:
+(task, sample_index) pairs already in the store are skipped, so rerunning
+after a crash or partial failure fills exactly the gaps.
+
+The transport is the standard library's: it reads no proxy settings
+(HTTP_PROXY, HTTPS_PROXY, NO_PROXY), no CA bundle variable
+(REQUESTS_CA_BUNDLE) and no credentials embedded in the URL; HTTPS verifies
+certificates and host names through ssl.create_default_context().
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
+import re
+import ssl
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import requests
+from urllib.parse import SplitResult, urlsplit
 
 from .records import RecordStore
 from .verifier import Sample
@@ -36,6 +47,20 @@ REASONING_PROMPT_SUFFIX = (
 FAILURES_SIDECAR = "failures.jsonl"
 # the values a SamplingJob field annotated with each type accepts
 _ACCEPTED = {"str": str, "int": int, "float": (int, float)}
+# statuses that may heal on retry, besides every 5xx
+_RETRY_STATUSES = (408, 429)
+
+
+def _valid_endpoint(url: str) -> bool:
+    # http.client refuses whitespace and control characters in a request line
+    if re.search(r"[\x00-\x20\x7f]", url):
+        return False
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError on a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass(frozen=True)
@@ -67,6 +92,11 @@ class SamplingJob:
             # bool is an int subclass, but true is never a count or a temperature
             if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
                 raise ValueError(f"{f.name!r} must be {f.type}, got {value!r}")
+        if not _valid_endpoint(self.endpoint_url):
+            raise ValueError(
+                f"endpoint_url must be an http:// or https:// URL with a host, "
+                f"got {self.endpoint_url!r}"
+            )
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
@@ -123,17 +153,48 @@ class _TaskState:
     error: str | None = None
 
 
+def _connection(endpoint: SplitResult, timeout: float) -> http.client.HTTPConnection:
+    if endpoint.scheme == "https":
+        return http.client.HTTPSConnection(
+            endpoint.hostname, endpoint.port, timeout=timeout,
+            context=ssl.create_default_context(),
+        )
+    return http.client.HTTPConnection(endpoint.hostname, endpoint.port, timeout=timeout)
+
+
+def _post(
+    conn: http.client.HTTPConnection, target: str, body: bytes, headers: dict
+) -> tuple[int, bytes, str | None]:
+    """POST once; returns (status, response body, Retry-After header).
+
+    A server may close an idle keep-alive connection just as a request goes
+    out; that request is sent once more on a new connection.
+    """
+    reused = conn.sock is not None
+    try:
+        conn.request("POST", target, body=body, headers=headers)
+        resp = conn.getresponse()
+    except (ConnectionResetError, BrokenPipeError):
+        if not reused:
+            raise
+        conn.close()
+        conn.request("POST", target, body=body, headers=headers)
+        resp = conn.getresponse()
+    return resp.status, resp.read(), resp.getheader("Retry-After")
+
+
 def _fetch_one(
     local: threading.local,
     job: SamplingJob,
-    url: str,
+    target: str,
     headers: dict,
     task: SamplingTask,
     index: int,
 ) -> tuple[int, str, str | None]:
     """One completion request with retry; returns (index, text, finish_reason).
 
-    Posts through local.session, the calling worker thread's own Session.
+    Posts through local.conn, the calling worker thread's own keep-alive
+    connection. Only a transport error closes it; the next request reopens it.
     """
     prompt = task.problem + "\n" + job.prompt_suffix
     payload = {
@@ -143,24 +204,31 @@ def _fetch_one(
         "max_tokens": job.max_tokens,
         "n": 1,
     }
+    body = json.dumps(payload).encode()
     last_error: Exception | None = None
+    retry_after = 0.0
     for attempt in range(job.max_retries + 1):
         if attempt:
-            time.sleep(job.retry_backoff * 2 ** (attempt - 1))
+            time.sleep(max(job.retry_backoff * 2 ** (attempt - 1), retry_after))
+            retry_after = 0.0
         try:
-            resp = local.session.post(
-                url, json=payload, headers=headers, timeout=job.request_timeout
-            )
-            if 400 <= resp.status_code < 500:
-                # client errors do not heal on retry
-                raise RuntimeError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            resp.raise_for_status()
-            body = resp.json()
-            choice = body["choices"][0]
+            status, data, retry_after_header = _post(local.conn, target, body, headers)
+        except (OSError, http.client.HTTPException) as exc:  # transport errors
+            local.conn.close()
+            last_error = exc
+            continue
+        if status >= 400:
+            error = RuntimeError(f"HTTP {status}: {data[:200].decode('utf-8', 'replace')}")
+            if status < 500 and status not in _RETRY_STATUSES:
+                raise error  # other client errors do not heal on retry
+            last_error = error
+            if retry_after_header and retry_after_header.strip().isdecimal():
+                retry_after = float(retry_after_header)
+            continue
+        try:
+            choice = json.loads(data)["choices"][0]
             return index, choice["text"], choice.get("finish_reason")
-        except RuntimeError:
-            raise
-        except Exception as exc:  # connection errors, 5xx, malformed bodies
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:  # malformed bodies
             last_error = exc
     raise RuntimeError(f"retries exhausted: {last_error}")
 
@@ -177,8 +245,10 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
         for s in store.load("samples")
         if s.checkpoint_id == checkpoint
     }
-    url = job.endpoint_url.rstrip("/") + "/v1/completions"
-    headers = {}
+    template = job.request_template()
+    url = urlsplit(template["url"])
+    target = url.path + (f"?{url.query}" if url.query else "")
+    headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
@@ -195,57 +265,57 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
             states[(task.benchmark_id, task.task_id)] = _TaskState(task, len(missing))
             units.extend((task, i) for i in missing)
 
-    store.set_metadata("request_template", job.request_template())
+    store.set_metadata("request_template", template)
     written = 0
     failures: list[dict] = []
-    # one Session per worker thread, so each worker reuses its connection;
-    # the sessions close after the pool has joined its workers
+    # one keep-alive connection per worker thread; the connections close
+    # after the pool has joined its workers
     local = threading.local()
-    sessions = ExitStack()
+    connections = ExitStack()
 
-    def open_session() -> None:
-        local.session = sessions.enter_context(requests.Session())
+    def open_connection() -> None:
+        local.conn = _connection(url, job.request_timeout)
+        connections.callback(local.conn.close)
 
-    with sessions, ThreadPoolExecutor(
-        max_workers=job.max_concurrency, initializer=open_session
+    with connections, ThreadPoolExecutor(
+        max_workers=job.max_concurrency, initializer=open_connection
     ) as pool:
         future_unit = {
-            pool.submit(_fetch_one, local, job, url, headers, task, index): (task, index)
+            pool.submit(_fetch_one, local, job, target, headers, task, index): (task, index)
             for task, index in units
         }
-        not_done = set(future_unit)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for future in done:
-                task, index = future_unit[future]
-                state = states[(task.benchmark_id, task.task_id)]
-                try:
-                    idx, text, finish = future.result()
-                    state.results.append(
-                        Sample(
-                            checkpoint_id=checkpoint,
-                            benchmark_id=task.benchmark_id,
-                            task_id=task.task_id,
-                            sample_index=idx,
-                            text=text,
-                            finish_reason=finish,
-                        )
+        for future in as_completed(future_unit):
+            task, index = future_unit.pop(future)  # the result is freed once stored
+            key = (task.benchmark_id, task.task_id)
+            state = states[key]
+            try:
+                idx, text, finish = future.result()
+                state.results.append(
+                    Sample(
+                        checkpoint_id=checkpoint,
+                        benchmark_id=task.benchmark_id,
+                        task_id=task.task_id,
+                        sample_index=idx,
+                        text=text,
+                        finish_reason=finish,
                     )
-                except Exception as exc:
-                    state.error = str(exc)
-                state.pending -= 1
-                if state.pending == 0:
-                    # task finished: single-writer append in index order
-                    state.results.sort(key=lambda s: s.sample_index)
-                    written += store.append("samples", state.results)
-                    if state.error is not None:
-                        failures.append(
-                            {
-                                "task_id": task.task_id,
-                                "benchmark": task.benchmark_id,
-                                "error": state.error,
-                            }
-                        )
+                )
+            except Exception as exc:
+                state.error = str(exc)
+            state.pending -= 1
+            if state.pending == 0:
+                # task finished: single-writer append in index order
+                del states[key]
+                state.results.sort(key=lambda s: s.sample_index)
+                written += store.append("samples", state.results)
+                if state.error is not None:
+                    failures.append(
+                        {
+                            "task_id": task.task_id,
+                            "benchmark": task.benchmark_id,
+                            "error": state.error,
+                        }
+                    )
 
     failures_path = store.root / FAILURES_SIDECAR
     if failures:

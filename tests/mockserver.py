@@ -1,8 +1,9 @@
 """In-process OpenAI-compatible completions server for sampler tests.
 
 Tracks the high-water mark of concurrent in-flight requests and supports
-scripted failures via a `behavior` callable deciding per request whether to
-return 500.
+scripted failures via a `behavior` callable that returns, per request, one of
+"ok", "fail" (HTTP 500), "408" or "429" (those two are sent with the
+server's `retry_after` as the Retry-After header, "0" by default).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class MockCompletionServer(ThreadingHTTPServer):
         self.max_in_flight = 0
         self.request_count = 0
         self.seen_auth: list[str | None] = []
+        self.retry_after = "0"
 
     @property
     def url(self) -> str:
@@ -54,6 +56,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._respond(404, {"error": "not found"})
             elif action == "fail":
                 self._respond(500, {"error": "injected failure"})
+            elif action in ("408", "429"):
+                self._respond(
+                    int(action), {"error": "try later"}, {"Retry-After": server.retry_after}
+                )
             else:
                 prompt = body.get("prompt", "")
                 first_line = prompt.splitlines()[0] if prompt else ""
@@ -72,9 +78,11 @@ class _Handler(BaseHTTPRequestHandler):
             with server.lock:
                 server.in_flight -= 1
 
-    def _respond(self, status: int, payload: dict):
+    def _respond(self, status: int, payload: dict, headers: dict | None = None):
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()

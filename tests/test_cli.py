@@ -171,7 +171,8 @@ def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
     [("n", "4"), ("endpoint_url", 5), ("temperature", "hot"), ("n", True),
      ("temperature", False), ("max_concurrency", 2.5), ("model_name", None),
      ("tasks_path", 5), ("temperature", float("nan")), ("retry_backoff", -1),
-     ("request_timeout", 0)],
+     ("request_timeout", 0), ("endpoint_url", "localhost:8000"), ("endpoint_url", "ftp://x"),
+     ("endpoint_url", "http://"), ("endpoint_url", "http://127.0.0.1:9/a b")],
 )
 def test_collect_config_of_wrong_type_or_range_exits_one_with_one_error_line(
     inputs, key, value, capsys

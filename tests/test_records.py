@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rlready import records
 from rlready.curate import SftExample
 from rlready.passk import TaskOutcome
 from rlready.records import (
@@ -10,6 +15,7 @@ from rlready.records import (
     RecordStore,
     aggregate_genloss,
     dump,
+    file_sha256,
     load,
 )
 from rlready.verifier import GoldAnswer, Sample
@@ -212,6 +218,62 @@ class TestRecordStore:
         assert store.append("samples", []) == 0
         assert store.count("samples") == 0
         assert store.load("samples") == []
+
+
+    def test_torn_manifest_write_keeps_the_old_manifest(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        store = RecordStore(root)
+        store.append("samples", [Sample("m1", "b", "t", 0, "a")])
+        before = (root / "manifest.json").read_bytes()
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write('{"records": {"samples": {"co')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(records.json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            store.set_metadata("request_template", {"temperature": 1.0})
+        monkeypatch.undo()
+        assert (root / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in root.iterdir()) == ["manifest.json", "samples.jsonl"]
+        reopened = RecordStore(root)
+        assert reopened.count("samples") == 1
+        reopened.verify()
+
+
+# text that survives UTF-8: no lone surrogates
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.tuples(_TEXT, st.sampled_from([None, "stop", "length"])),
+                           max_size=5),
+                  st.booleans()),
+        max_size=8,
+    )
+)
+def test_running_hash_matches_the_file_after_every_append(batches):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        store = RecordStore(root)
+        index = 0
+        for batch, reopen in batches:
+            if reopen:
+                store = RecordStore(root)
+            samples = []
+            for text, finish in batch:
+                samples.append(Sample("m1", "b", "t", index, text, finish_reason=finish))
+                index += 1
+            assert store.append("samples", samples) == len(samples)
+            if index:
+                manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+                entry = manifest["records"]["samples"]
+                assert entry["sha256"] == file_sha256(store.path("samples"))
+                assert entry["count"] == index
+            store.verify()
+        assert [s.sample_index for s in store.load("samples")] == list(range(index))
 
 
 def test_label_validation():

@@ -1,12 +1,17 @@
-import pytest
-import requests
+import http.client
+import ssl
+import time
+from urllib.parse import urlsplit
 
-from mockserver import run_server
+import pytest
+
+from mockserver import _Handler, run_server
 from rlready.records import RecordStore
 from rlready.sampler import (
     SamplingIncomplete,
     SamplingJob,
     SamplingTask,
+    _connection,
     sample_completions,
 )
 
@@ -28,6 +33,31 @@ def make_job(url, n_tasks=2, n=3, **overrides):
     )
     defaults.update(overrides)
     return SamplingJob(**defaults)
+
+
+class KeepAliveHandler(_Handler):
+    """HTTP/1.1 handler that counts the sockets the server accepts."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.sockets += 1
+
+
+class DroppingHandler(KeepAliveHandler):
+    """Closes every connection after one response without announcing it."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+def serve_with(server, handler):
+    server.RequestHandlerClass = handler
+    server.sockets = 0
+    return server
 
 
 def stored_keys(store, checkpoint="test-model"):
@@ -102,19 +132,19 @@ class TestSampleCompletions:
             assert server.max_in_flight == 2  # the bound is actually exercised
         store.verify()
 
-    def test_one_session_per_worker_thread(self, tmp_path, monkeypatch):
+    def test_one_connection_per_worker_thread(self, tmp_path, monkeypatch):
         opened, closed = [], []
 
-        class CountingSession(requests.Session):
-            def __init__(self):
-                super().__init__()
+        class CountingConnection(http.client.HTTPConnection):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 opened.append(self)
 
             def close(self):
                 closed.append(self)
                 super().close()
 
-        monkeypatch.setattr(requests, "Session", CountingSession)
+        monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
         with run_server() as server:
             store = RecordStore(tmp_path / "store")
             job = make_job(server.url, n_tasks=5, n=4, max_concurrency=2)
@@ -122,6 +152,62 @@ class TestSampleCompletions:
             assert server.request_count == 20
         assert 1 <= len(opened) <= 2
         assert set(closed) == set(opened)
+
+    def test_keep_alive_reuses_one_socket_per_worker(self, tmp_path):
+        # every fifth request is a 500 whose body is read: it keeps the connection
+        behavior = lambda no, body: "fail" if no % 5 == 0 else "ok"  # noqa: E731
+        with run_server(behavior=behavior) as server:
+            serve_with(server, KeepAliveHandler)
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url, n_tasks=5, n=4, max_concurrency=2)
+            assert sample_completions(job, store) == 20
+            assert server.request_count > 20
+            assert server.sockets <= 2
+
+    def test_connection_dropped_by_server_is_reopened(self, tmp_path):
+        # a keep-alive connection the server closed is not a failed attempt
+        with run_server() as server:
+            serve_with(server, DroppingHandler)
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url, n_tasks=5, n=4, max_retries=0)
+            assert sample_completions(job, store) == 20
+            assert server.request_count == 20
+        store.verify()
+
+    @pytest.mark.parametrize("status", ["408", "429"])
+    def test_timeout_and_rate_limit_are_retried(self, tmp_path, status):
+        with run_server(behavior=lambda no, body: status if no == 1 else "ok") as server:
+            store = RecordStore(tmp_path / "store")
+            written = sample_completions(make_job(server.url), store)
+            assert server.request_count == 7
+        assert written == 6
+        assert stored_keys(store) == {(f"t{i}", j) for i in range(2) for j in range(3)}
+
+    def test_retry_after_lengthens_the_backoff(self, tmp_path):
+        with run_server(behavior=lambda no, body: "429" if no == 1 else "ok") as server:
+            server.retry_after = "1"
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url, n_tasks=1, n=1, retry_backoff=0.001)
+            start = time.monotonic()
+            assert sample_completions(job, store) == 1
+            assert time.monotonic() - start >= 1.0
+
+    def test_other_client_errors_fail_at_once(self, tmp_path):
+        # the mock answers 404 outside /v1/completions
+        with run_server() as server:
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url + "/missing", n_tasks=1, n=1, max_retries=2)
+            with pytest.raises(SamplingIncomplete) as exc:
+                sample_completions(job, store)
+            assert server.request_count == 1
+        assert "HTTP 404" in exc.value.failures_path.read_text()
+
+    def test_https_verifies_certificate_and_host(self):
+        conn = _connection(urlsplit("https://example.com:8443"), timeout=5.0)
+        assert isinstance(conn, http.client.HTTPSConnection)
+        assert (conn.host, conn.port, conn.timeout) == ("example.com", 8443, 5.0)
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
+        assert conn._context.check_hostname
 
     def test_exhausted_retries_records_sidecar_and_continues(self, tmp_path):
         # requests for task t0 always fail; t1 succeeds
@@ -228,11 +314,20 @@ class TestSamplingJobValidation:
         "field,value",
         [("n", "4"), ("n", True), ("endpoint_url", 5), ("temperature", "hot"),
          ("temperature", float("nan")), ("temperature", float("inf")),
-         ("retry_backoff", -0.1), ("request_timeout", 0), ("request_timeout", float("nan"))],
+         ("retry_backoff", -0.1), ("request_timeout", 0), ("request_timeout", float("nan")),
+         ("endpoint_url", "localhost:8000"), ("endpoint_url", "ftp://x"),
+         ("endpoint_url", "http://"), ("endpoint_url", "http://x:port"),
+         ("endpoint_url", "http://x/a b")],
     )
     def test_wrong_type_or_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             make_job("http://x", **{field: value})
+
+    @pytest.mark.parametrize(
+        "url", ["http://x", "https://x.example:8443/api/", "http://127.0.0.1:9", "http://[::1]:80"]
+    )
+    def test_http_urls_with_a_host_accepted(self, url):
+        assert make_job(url).endpoint_url == url
 
     def test_int_accepted_for_float_fields(self):
         job = make_job("http://x", temperature=0, retry_backoff=0, request_timeout=30)
