@@ -35,7 +35,6 @@ from .stats import (
     EvalProtocolResult,
     LabeledPoint,
     LinearFit,
-    combine_predictions,
     fit_linear,
     r_squared,
     repeated_split_eval,
@@ -77,7 +76,6 @@ __all__ = [
     "aggregate_genloss",
     "answers_equal",
     "calibrate_and_predict",
-    "combine_predictions",
     "dump",
     "extract_boxed",
     "file_sha256",

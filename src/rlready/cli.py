@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +33,7 @@ from .predict import (
     rank_candidates,
 )
 from .records import RecordStore, aggregate_genloss, dump, file_sha256, load
-from .sampler import SamplingIncomplete, SamplingJob, SamplingTask, sample_completions
+from .sampler import SamplingIncomplete, SamplingJob, sample_completions
 from .stats import (
     LabeledPoint,
     fit_linear,
@@ -44,6 +45,14 @@ from .stats import (
 from .verifier import RULESET_VERSION, score
 
 METRICS_CSV_MARKER = "# rlready metrics v1"
+# collect's config keys are the SamplingJob fields, except that the config
+# names the tasks file tasks_path; a field without a default is required
+_CONFIG_REQUIRED = {
+    ("tasks_path" if f.name == "tasks" else f.name): (
+        f.default is MISSING and f.default_factory is MISSING
+    )
+    for f in fields(SamplingJob)
+}
 
 
 def _metadata(command: str, inputs: dict[str, Path], **extra) -> dict:
@@ -74,28 +83,6 @@ def _parse_ks(text: str) -> list[int]:
     if not ks:
         raise ValueError("--ks must name at least one k")
     return ks
-
-
-def _load_points_jsonl(path: Path) -> list[LabeledPoint]:
-    points = []
-    seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-                point = LabeledPoint(obj["checkpoint_id"], float(obj["x"]), float(obj["y"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if point.checkpoint_id in seen:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate checkpoint "
-                    f"{point.checkpoint_id!r} (first seen at line {seen[point.checkpoint_id]})"
-                )
-            seen[point.checkpoint_id] = lineno
-            points.append(point)
-    if not points:
-        raise ValueError(f"{path}: no points")
-    return points
 
 
 # ---------------------------------------------------------------- metrics CSV
@@ -214,56 +201,23 @@ def cmd_collect(args) -> None:
             raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{args.config}: config must be a flat JSON object")
-    known = {
-        "endpoint_url",
-        "model_name",
-        "tasks_path",
-        "n",
-        "temperature",
-        "prompt_suffix",
-        "max_concurrency",
-        "max_tokens",
-        "checkpoint_id",
-        "max_retries",
-        "retry_backoff",
-        "request_timeout",
-    }
-    unknown = sorted(set(config) - known)
+    unknown = sorted(set(config) - set(_CONFIG_REQUIRED))
     if unknown:
         raise ValueError(f"{args.config}: unknown keys: {', '.join(unknown)}")
-    for required in ("endpoint_url", "model_name", "tasks_path", "n"):
-        if required not in config:
-            raise ValueError(f"{args.config}: missing key {required!r}")
+    for key, required in _CONFIG_REQUIRED.items():
+        if required and key not in config:
+            raise ValueError(f"{args.config}: missing key {key!r}")
     # SamplingJob checks the type and range of every other value
     if not isinstance(config["tasks_path"], str):
         raise ValueError(f"{args.config}: 'tasks_path' must be str, got {config['tasks_path']!r}")
-    tasks = _load_tasks_jsonl(Path(config.pop("tasks_path")))
+    tasks_path = Path(config.pop("tasks_path"))
+    tasks = load("tasks", tasks_path)
+    if not tasks:
+        raise ValueError(f"{tasks_path}: no tasks")
     job = SamplingJob(tasks=tasks, **config)
     store = RecordStore(args.store)
     written = sample_completions(job, store)
     print(f"wrote {written} samples to {store.path('samples')}")
-
-
-def _load_tasks_jsonl(path: Path) -> tuple[SamplingTask, ...]:
-    tasks = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("expected a JSON object")
-                tasks.append(
-                    SamplingTask(
-                        task_id=str(obj["task_id"]),
-                        problem=str(obj["problem"]),
-                        benchmark_id=str(obj["benchmark"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not tasks:
-        raise ValueError(f"{path}: no tasks")
-    return tuple(tasks)
 
 
 def cmd_verify(args) -> None:
@@ -366,7 +320,7 @@ def cmd_predict(args) -> None:
     parse_metric(args.metric)  # fail fast on a bad spec
     genloss_path = Path(args.genloss) if args.genloss else None
     candidates = _build_candidates(Path(args.metrics), genloss_path, Path(args.labels))
-    predictions = calibrate_and_predict(candidates, args.metric, mode=args.mode)
+    predictions = calibrate_and_predict(candidates, args.metric)
     residuals = {
         c.checkpoint_id: c.post_rl_pass1 - predictions[c.checkpoint_id]
         for c in candidates
@@ -376,9 +330,8 @@ def cmd_predict(args) -> None:
     if genloss_path:
         inputs["genloss"] = genloss_path
     payload = {
-        "metadata": _metadata("predict", inputs, metric=args.metric, mode=args.mode),
+        "metadata": _metadata("predict", inputs, metric=args.metric),
         "metric": args.metric,
-        "mode": args.mode,
         "predictions": predictions,
         "residuals": residuals,
     }
@@ -499,7 +452,9 @@ def cmd_curate(args) -> None:
 
 
 def cmd_plot(args) -> None:
-    points = _load_points_jsonl(Path(args.points))
+    points = load("points", args.points)
+    if not points:
+        raise ValueError(f"{args.points}: no points")
     fit = None
     r2 = None
     if not args.no_fit:
@@ -542,7 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("collect", help="run a sampling job from a config file")
-    p.add_argument("--config", required=True, help="flat JSON config mirroring the sampling job")
+    p.add_argument(
+        "--config",
+        required=True,
+        help="flat JSON object; required keys: "
+        + ", ".join(key for key, required in _CONFIG_REQUIRED.items() if required)
+        + "; optional keys: "
+        + ", ".join(key for key, required in _CONFIG_REQUIRED.items() if not required)
+        + '. tasks_path names a JSONL file of {"task_id": str, "problem": str, '
+        '"benchmark": str} lines, unique by (benchmark, task_id)',
+    )
     p.add_argument("--store", required=True, help="record store directory")
     p.set_defaults(func=cmd_collect)
 
@@ -584,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pass1 | passk:K | genloss | avg:passk:K+genloss",
     )
     p.add_argument("--genloss", help="genloss scalars JSON (required for genloss metrics)")
-    p.add_argument("--mode", choices=("avg", "joint"), default="avg")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -618,7 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("plot", help="scatter points with a fitted line as SVG")
-    p.add_argument("--points", required=True, help="points.jsonl: {checkpoint_id, x, y}")
+    p.add_argument(
+        "--points",
+        required=True,
+        help='points.jsonl of {"checkpoint_id": str, "x": number, "y": number} lines, '
+        "one per checkpoint",
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--x-label", default="pre-RL metric")
     p.add_argument("--y-label", default="post-RL Pass@1")

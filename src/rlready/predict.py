@@ -4,7 +4,10 @@ Ranking: drop every checkpoint that another one beats on both axes (higher
 Pass@1, lower generalization loss, at least one strictly), then order the
 survivors by Pass@k at a large k. Value prediction: fit a line from a metric
 to known post-RL Pass@1 on the few calibrated checkpoints, then predict for
-everyone, calibrated ones included so residuals stay inspectable.
+everyone, calibrated ones included so residuals stay inspectable. A
+composite metric (avg:passk:K+genloss) fits one line per component and
+predicts the mean of their predictions; averaging is the only way metrics
+are combined.
 
 Dominance requires at least one strict inequality, so exact duplicates
 survive together; ruling one of them out would be arbitrary.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .passk import CheckpointMetrics
-from .stats import LabeledPoint, combine_predictions, fit_bivariate, fit_linear
+from .stats import LabeledPoint, fit_linear
 
 METRIC_GRAMMAR = "pass1 | passk:K | genloss | avg:passk:K+genloss"
 
@@ -208,55 +211,31 @@ def component_value(cand: Candidate, comp: tuple) -> float:
 def calibrate_and_predict(
     candidates: Sequence[Candidate],
     metric: str,
-    mode: str = "avg",
 ) -> dict[str, float]:
     """Fit metric -> post-RL Pass@1 on the labeled candidates, predict for all.
 
-    metric follows parse_metric's grammar. For multi-component metrics, mode
-    "avg" (default) fits each component separately and averages the
-    predictions; mode "joint" fits one bivariate OLS for comparison.
-    Predictions are returned for every candidate, labeled ones included.
+    metric follows parse_metric's grammar. A multi-component metric is the
+    averaged composite: each component gets its own line, fitted on the
+    labeled candidates, and a candidate's prediction is the mean of those
+    lines' predictions. Predictions are returned for every candidate, labeled
+    ones included.
     """
     _check_unique(candidates)
-    if mode not in ("avg", "joint"):
-        raise ValueError(f"mode must be 'avg' or 'joint', got {mode!r}")
     components = parse_metric(metric)
     labeled = [c for c in candidates if c.post_rl_pass1 is not None]
     if len(labeled) < 2:
         raise ValueError(
             f"need >= 2 candidates with known post_rl_pass1 to calibrate, got {len(labeled)}"
         )
-
-    if mode == "joint" and len(components) > 1:
-        if len(components) != 2:
-            raise ValueError("joint mode supports exactly 2 components")
-        rows = [
-            (
-                component_value(c, components[0]),
-                component_value(c, components[1]),
-                c.post_rl_pass1,
-            )
-            for c in labeled
-        ]
-        a1, a2, b = fit_bivariate(rows)
-        return {
-            c.checkpoint_id: a1 * component_value(c, components[0])
-            + a2 * component_value(c, components[1])
-            + b
-            for c in candidates
-        }
-
     fits = []
     for comp in components:
         points = [
             LabeledPoint(c.checkpoint_id, component_value(c, comp), c.post_rl_pass1)
             for c in labeled
         ]
-        fits.append((component_name(comp), fit_linear(points)))
-    features = {
-        c.checkpoint_id: {
-            component_name(comp): component_value(c, comp) for comp in components
-        }
+        fits.append((comp, fit_linear(points)))
+    return {
+        c.checkpoint_id: sum(fit.predict(component_value(c, comp)) for comp, fit in fits)
+        / len(fits)
         for c in candidates
     }
-    return combine_predictions(fits, features)

@@ -1,13 +1,25 @@
 """JSONL record schemas, validating loaders, and an append-only record store.
 
-One line schema per record kind:
+One line schema per record kind, fields in file order; the leading fields
+before the bar form the kind's uniqueness key:
 
-    samples:  {checkpoint_id, benchmark, task_id, sample_index, text[, finish_reason]}
-    outcomes: {checkpoint_id, benchmark, task_id, n, c}
-    genloss:  {checkpoint_id, example_id, nll_sum, token_count}
-    labels:   {checkpoint_id, post_rl_pass1}
-    gold:     {benchmark, task_id, answer}
-    sft:      {example_id, prompt, response}
+    samples:  {checkpoint_id, benchmark, task_id, sample_index | text[, finish_reason]}
+    outcomes: {checkpoint_id, benchmark, task_id | n, c}
+    genloss:  {checkpoint_id, example_id | nll_sum, token_count}
+    labels:   {checkpoint_id | post_rl_pass1}
+    gold:     {benchmark, task_id | answer}
+    sft:      {example_id | prompt, response}
+    tasks:    {benchmark, task_id | problem}
+    points:   {checkpoint_id | x, y}
+
+All of it lives in the _SCHEMAS table. A field's type is the annotation of
+the record dataclass's attribute of that name (the JSON name benchmark is
+the attribute benchmark_id): a string, an integer, or a number, where a
+float field also takes a JSON integer and stores it as a float, and no
+integer or number field takes a boolean. Strings must be nonempty except
+text, finish_reason, prompt, response and problem. A str | None field may
+be absent, and is left out on write when it is None. Unknown fields are
+ignored.
 
 Loaders reject the whole file on the first invalid line, reporting the line
 number and offending field, and enforce per-kind uniqueness keys. The store
@@ -22,12 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence, get_args, get_type_hints
 
 from .curate import SftExample
 from .passk import TaskOutcome
+from .stats import LabeledPoint
 from .verifier import GoldAnswer, Sample
 
 
@@ -61,159 +74,108 @@ class Label:
             )
 
 
-def _req(obj: dict, field: str) -> Any:
-    if field not in obj:
-        raise ValueError(f"missing field {field!r}")
-    return obj[field]
+@dataclass(frozen=True)
+class SamplingTask:
+    """One problem to sample completions for; its key is (benchmark_id, task_id)."""
+
+    task_id: str
+    problem: str
+    benchmark_id: str
 
 
-def _req_str(obj: dict, field: str, allow_empty: bool = False) -> str:
-    value = _req(obj, field)
-    if not isinstance(value, str):
-        raise ValueError(f"field {field!r}: expected string, got {type(value).__name__}")
-    if not value and not allow_empty:
-        raise ValueError(f"field {field!r}: must be nonempty")
-    return value
+# the one JSON name that differs from its attribute
+_ATTRIBUTE = {"benchmark": "benchmark_id"}
+_TYPE_NAMES = {str: "string", int: "integer", float: "number"}
 
 
-def _req_int(obj: dict, field: str) -> int:
-    value = _req(obj, field)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {field!r}: expected integer, got {type(value).__name__}")
-    return value
+class _Schema(NamedTuple):
+    """One kind's line format, each field's checks worked out from its annotation."""
+
+    cls: type
+    # per field: (JSON name, accepted classes, optional, nonempty, as float, type name)
+    checks: tuple[tuple, ...]
+    key_len: int  # how many leading fields form the uniqueness key
+    order: tuple[int, ...] | None  # constructor argument order, None if file order
+    writes: tuple[tuple[str, str, bool], ...]  # (JSON name, attribute, optional)
 
 
-def _req_num(obj: dict, field: str) -> float:
-    value = _req(obj, field)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {field!r}: expected number, got {type(value).__name__}")
-    return float(value)
+def _schema(
+    cls: type, names: tuple[str, ...], key_len: int, may_be_empty: tuple[str, ...] = ()
+) -> _Schema:
+    """The schema of lines holding cls's fields under the JSON names, in file
+    order; may_be_empty lists the string fields that accept ""."""
+    hints = get_type_hints(cls)
+    checks = []
+    writes = []
+    for name in names:
+        attr = _ATTRIBUTE.get(name, name)
+        hint = hints[attr]
+        optional = type(None) in get_args(hint)
+        base = next(t for t in get_args(hint) if t is not type(None)) if optional else hint
+        accepted = (int, float) if base is float else (base,)
+        if optional:
+            accepted += (type(None),)
+        nonempty = base is str and name not in may_be_empty
+        checks.append((name, accepted, optional, nonempty, base is float, _TYPE_NAMES[base]))
+        writes.append((name, attr, optional))
+    attrs = [_ATTRIBUTE.get(name, name) for name in names]
+    init = [f.name for f in fields(cls) if f.name in attrs]
+    order = None if init == attrs else tuple(attrs.index(a) for a in init)
+    return _Schema(cls, tuple(checks), key_len, order, tuple(writes))
 
 
-def _parse_sample(obj: dict) -> Sample:
-    finish = obj.get("finish_reason")
-    if finish is not None and not isinstance(finish, str):
-        raise ValueError("field 'finish_reason': expected string")
-    return Sample(
-        checkpoint_id=_req_str(obj, "checkpoint_id"),
-        benchmark_id=_req_str(obj, "benchmark"),
-        task_id=_req_str(obj, "task_id"),
-        sample_index=_req_int(obj, "sample_index"),
-        text=_req_str(obj, "text", allow_empty=True),
-        finish_reason=finish,
-    )
-
-
-def _parse_outcome(obj: dict) -> TaskOutcome:
-    return TaskOutcome(
-        checkpoint_id=_req_str(obj, "checkpoint_id"),
-        benchmark_id=_req_str(obj, "benchmark"),
-        task_id=_req_str(obj, "task_id"),
-        n=_req_int(obj, "n"),
-        c=_req_int(obj, "c"),
-    )
-
-
-def _parse_genloss(obj: dict) -> GenLossRecord:
-    return GenLossRecord(
-        checkpoint_id=_req_str(obj, "checkpoint_id"),
-        example_id=_req_str(obj, "example_id"),
-        nll_sum=_req_num(obj, "nll_sum"),
-        token_count=_req_int(obj, "token_count"),
-    )
-
-
-def _parse_label(obj: dict) -> Label:
-    return Label(
-        checkpoint_id=_req_str(obj, "checkpoint_id"),
-        post_rl_pass1=_req_num(obj, "post_rl_pass1"),
-    )
-
-
-def _parse_gold(obj: dict) -> GoldAnswer:
-    return GoldAnswer(
-        benchmark_id=_req_str(obj, "benchmark"),
-        task_id=_req_str(obj, "task_id"),
-        answer=_req_str(obj, "answer"),
-    )
-
-
-def _parse_sft(obj: dict) -> SftExample:
-    return SftExample(
-        example_id=_req_str(obj, "example_id"),
-        prompt=_req_str(obj, "prompt", allow_empty=True),
-        response=_req_str(obj, "response", allow_empty=True),
-    )
-
-
-def _sample_json(r: Sample) -> dict:
-    obj = {
-        "checkpoint_id": r.checkpoint_id,
-        "benchmark": r.benchmark_id,
-        "task_id": r.task_id,
-        "sample_index": r.sample_index,
-        "text": r.text,
-    }
-    if r.finish_reason is not None:
-        obj["finish_reason"] = r.finish_reason
-    return obj
-
-
-_PARSERS: dict[str, Callable[[dict], Any]] = {
-    "samples": _parse_sample,
-    "outcomes": _parse_outcome,
-    "genloss": _parse_genloss,
-    "labels": _parse_label,
-    "gold": _parse_gold,
-    "sft": _parse_sft,
+_SCHEMAS = {
+    "samples": _schema(
+        Sample,
+        ("checkpoint_id", "benchmark", "task_id", "sample_index", "text", "finish_reason"),
+        4,
+        may_be_empty=("text", "finish_reason"),
+    ),
+    "outcomes": _schema(TaskOutcome, ("checkpoint_id", "benchmark", "task_id", "n", "c"), 3),
+    "genloss": _schema(
+        GenLossRecord, ("checkpoint_id", "example_id", "nll_sum", "token_count"), 2
+    ),
+    "labels": _schema(Label, ("checkpoint_id", "post_rl_pass1"), 1),
+    "gold": _schema(GoldAnswer, ("benchmark", "task_id", "answer"), 2),
+    "sft": _schema(
+        SftExample, ("example_id", "prompt", "response"), 1, may_be_empty=("prompt", "response")
+    ),
+    "tasks": _schema(
+        SamplingTask, ("benchmark", "task_id", "problem"), 2, may_be_empty=("problem",)
+    ),
+    "points": _schema(LabeledPoint, ("checkpoint_id", "x", "y"), 1),
 }
 
-_KEYS: dict[str, Callable[[Any], tuple]] = {
-    "samples": lambda r: (r.checkpoint_id, r.benchmark_id, r.task_id, r.sample_index),
-    "outcomes": lambda r: (r.checkpoint_id, r.benchmark_id, r.task_id),
-    "genloss": lambda r: (r.checkpoint_id, r.example_id),
-    "labels": lambda r: (r.checkpoint_id,),
-    "gold": lambda r: (r.benchmark_id, r.task_id),
-    "sft": lambda r: (r.example_id,),
-}
-
-_WRITERS: dict[str, Callable[[Any], dict]] = {
-    "samples": _sample_json,
-    "outcomes": lambda r: {
-        "checkpoint_id": r.checkpoint_id,
-        "benchmark": r.benchmark_id,
-        "task_id": r.task_id,
-        "n": r.n,
-        "c": r.c,
-    },
-    "genloss": lambda r: {
-        "checkpoint_id": r.checkpoint_id,
-        "example_id": r.example_id,
-        "nll_sum": r.nll_sum,
-        "token_count": r.token_count,
-    },
-    "labels": lambda r: {
-        "checkpoint_id": r.checkpoint_id,
-        "post_rl_pass1": r.post_rl_pass1,
-    },
-    "gold": lambda r: {
-        "benchmark": r.benchmark_id,
-        "task_id": r.task_id,
-        "answer": r.answer,
-    },
-    "sft": lambda r: {
-        "example_id": r.example_id,
-        "prompt": r.prompt,
-        "response": r.response,
-    },
-}
-
-KINDS = tuple(_PARSERS)
+KINDS = tuple(_SCHEMAS)
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in _PARSERS:
-        raise ValueError(f"unknown record kind {kind!r} (expected one of {KINDS})")
+def _kind(kind: str) -> _Schema:
+    try:
+        return _SCHEMAS[kind]
+    except KeyError:
+        raise ValueError(f"unknown record kind {kind!r} (expected one of {KINDS})") from None
+
+
+def _field_values(checks: tuple[tuple, ...], obj: dict) -> list:
+    values = []
+    for name, accepted, optional, nonempty, as_float, type_name in checks:
+        if name in obj:
+            value = obj[name]
+        elif optional:
+            value = None
+        else:
+            raise ValueError(f"missing field {name!r}")
+        # exact classes: a JSON true is a bool, never an int or a float
+        if value.__class__ not in accepted:
+            raise ValueError(
+                f"field {name!r}: expected {type_name}, got {type(value).__name__}"
+            )
+        if nonempty and value == "":
+            raise ValueError(f"field {name!r}: must be nonempty")
+        if as_float:
+            value = float(value)
+        values.append(value)
+    return values
 
 
 def load(kind: str, path: str | Path) -> list:
@@ -222,9 +184,8 @@ def load(kind: str, path: str | Path) -> list:
     The whole file is rejected on the first malformed line, schema violation
     or duplicate key; errors carry the line number and field name.
     """
-    _check_kind(kind)
-    parse = _PARSERS[kind]
-    key_of = _KEYS[kind]
+    spec = _kind(kind)
+    cls, checks, key_len, order = spec.cls, spec.checks, spec.key_len, spec.order
     records = []
     seen: dict[tuple, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -238,10 +199,11 @@ def load(kind: str, path: str | Path) -> list:
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno}: expected a JSON object")
             try:
-                record = parse(obj)
+                values = _field_values(checks, obj)
+                record = cls(*values) if order is None else cls(*[values[i] for i in order])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            key = key_of(record)
+            key = tuple(values[:key_len])
             if key in seen:
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate {kind} key {key!r} "
@@ -253,13 +215,18 @@ def load(kind: str, path: str | Path) -> list:
 
 
 def to_json_line(kind: str, record: Any) -> str:
-    _check_kind(kind)
-    return json.dumps(_WRITERS[kind](record), ensure_ascii=False)
+    """One record as a JSON line (no newline), fields in file order."""
+    obj = {}
+    for name, attr, optional in _kind(kind).writes:
+        value = getattr(record, attr)
+        if value is not None or not optional:
+            obj[name] = value
+    return json.dumps(obj, ensure_ascii=False)
 
 
 def dump(kind: str, records: Iterable[Any], path: str | Path) -> int:
     """Write records as JSONL with canonical field order; returns the count."""
-    _check_kind(kind)
+    _kind(kind)
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -332,17 +299,17 @@ class RecordStore:
         self._hashes: dict[str, Any] = {}  # kind -> running sha256 of its file
 
     def path(self, kind: str) -> Path:
-        _check_kind(kind)
+        _kind(kind)
         return self.root / f"{kind}.jsonl"
 
     def count(self, kind: str) -> int:
-        _check_kind(kind)
+        _kind(kind)
         entry = self._manifest["records"].get(kind)
         return entry["count"] if entry else 0
 
     def append(self, kind: str, records: Sequence[Any]) -> int:
         """Append records to the kind's file and refresh its manifest entry."""
-        _check_kind(kind)
+        _kind(kind)
         if not records:
             return 0
         path = self.path(kind)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from urllib.parse import SplitResult, urlsplit
 
-from .records import RecordStore
+from .records import RecordStore, SamplingTask
 from .verifier import Sample
 
 API_KEY_ENV = "RLREADY_API_KEY"
@@ -61,13 +61,6 @@ def _valid_endpoint(url: str) -> bool:
     except ValueError:
         return False
     return parts.scheme in ("http", "https") and bool(parts.hostname)
-
-
-@dataclass(frozen=True)
-class SamplingTask:
-    task_id: str
-    problem: str
-    benchmark_id: str
 
 
 @dataclass(frozen=True)
@@ -284,38 +277,44 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
             pool.submit(_fetch_one, local, job, target, headers, task, index): (task, index)
             for task, index in units
         }
-        for future in as_completed(future_unit):
-            task, index = future_unit.pop(future)  # the result is freed once stored
-            key = (task.benchmark_id, task.task_id)
-            state = states[key]
-            try:
-                idx, text, finish = future.result()
-                state.results.append(
-                    Sample(
-                        checkpoint_id=checkpoint,
-                        benchmark_id=task.benchmark_id,
-                        task_id=task.task_id,
-                        sample_index=idx,
-                        text=text,
-                        finish_reason=finish,
+        try:
+            for future in as_completed(future_unit):
+                task, index = future_unit.pop(future)  # the result is freed once stored
+                key = (task.benchmark_id, task.task_id)
+                state = states[key]
+                try:
+                    idx, text, finish = future.result()
+                    state.results.append(
+                        Sample(
+                            checkpoint_id=checkpoint,
+                            benchmark_id=task.benchmark_id,
+                            task_id=task.task_id,
+                            sample_index=idx,
+                            text=text,
+                            finish_reason=finish,
+                        )
                     )
-                )
-            except Exception as exc:
-                state.error = str(exc)
-            state.pending -= 1
-            if state.pending == 0:
-                # task finished: single-writer append in index order
-                del states[key]
-                state.results.sort(key=lambda s: s.sample_index)
-                written += store.append("samples", state.results)
-                if state.error is not None:
-                    failures.append(
-                        {
-                            "task_id": task.task_id,
-                            "benchmark": task.benchmark_id,
-                            "error": state.error,
-                        }
-                    )
+                except Exception as exc:
+                    state.error = str(exc)
+                state.pending -= 1
+                if state.pending == 0:
+                    # task finished: single-writer append in index order
+                    del states[key]
+                    state.results.sort(key=lambda s: s.sample_index)
+                    written += store.append("samples", state.results)
+                    if state.error is not None:
+                        failures.append(
+                            {
+                                "task_id": task.task_id,
+                                "benchmark": task.benchmark_id,
+                                "error": state.error,
+                            }
+                        )
+        except BaseException:
+            # a failed coordinator (a store error, Ctrl-C) cancels the requests
+            # not yet sent instead of waiting for every one of them on the way out
+            pool.shutdown(cancel_futures=True)
+            raise
 
     failures_path = store.root / FAILURES_SIDECAR
     if failures:

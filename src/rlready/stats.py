@@ -294,65 +294,3 @@ def _split_eval(
         skipped=skipped,
         seed=seed,
     )
-
-
-def fit_bivariate(
-    points: Sequence[tuple[float, float, float]],
-) -> tuple[float, float, float]:
-    """OLS for y = a1*x1 + a2*x2 + b via the 3x3 normal equations.
-
-    Comparison mode for the two-predictor average; returns (a1, a2, b).
-    """
-    if len(points) < 3:
-        raise ValueError(f"need >= 3 points for a bivariate fit, got {len(points)}")
-    # normal equations A^T A w = A^T y with columns [x1, x2, 1]
-    s = {key: 0.0 for key in ("11", "12", "1", "22", "2", "0", "y1", "y2", "y")}
-    for x1, x2, y in points:
-        s["11"] += x1 * x1
-        s["12"] += x1 * x2
-        s["1"] += x1
-        s["22"] += x2 * x2
-        s["2"] += x2
-        s["0"] += 1.0
-        s["y1"] += x1 * y
-        s["y2"] += x2 * y
-        s["y"] += y
-    mat = [
-        [s["11"], s["12"], s["1"], s["y1"]],
-        [s["12"], s["22"], s["2"], s["y2"]],
-        [s["1"], s["2"], s["0"], s["y"]],
-    ]
-    # Gaussian elimination with partial pivoting
-    for col in range(3):
-        pivot = max(range(col, 3), key=lambda r: abs(mat[r][col]))
-        if abs(mat[pivot][col]) < 1e-12:
-            raise ValueError("degenerate bivariate fit: features are collinear")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        for r in range(3):
-            if r != col:
-                f = mat[r][col] / mat[col][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    a1, a2, b = (mat[i][3] / mat[i][i] for i in range(3))
-    return a1, a2, b
-
-
-def combine_predictions(
-    fits: Sequence[tuple[str, LinearFit]],
-    features: Mapping[str, Mapping[str, float]],
-) -> dict[str, float]:
-    """Mean of each fit's individual prediction, per checkpoint.
-
-    features maps checkpoint_id -> metric name -> value; every fit's metric
-    must be present for every checkpoint.
-    """
-    if not fits:
-        raise ValueError("no fits to combine")
-    out: dict[str, float] = {}
-    for ckpt in features:
-        preds = []
-        for name, fit in fits:
-            if name not in features[ckpt]:
-                raise ValueError(f"checkpoint {ckpt!r} is missing metric {name!r}")
-            preds.append(fit.predict(features[ckpt][name]))
-        out[ckpt] = sum(preds) / len(preds)
-    return out

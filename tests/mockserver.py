@@ -49,34 +49,37 @@ class _Handler(BaseHTTPRequestHandler):
             server.request_count += 1
             request_no = server.request_count
             server.seen_auth.append(self.headers.get("Authorization"))
+        # in flight until its response is ready: a client may send its next
+        # request as soon as it has read this response, while this thread
+        # may not yet have run past the write
         try:
             time.sleep(server.latency)
             action = server.behavior(request_no, body)
-            if self.path != "/v1/completions":
-                self._respond(404, {"error": "not found"})
-            elif action == "fail":
-                self._respond(500, {"error": "injected failure"})
-            elif action in ("408", "429"):
-                self._respond(
-                    int(action), {"error": "try later"}, {"Retry-After": server.retry_after}
-                )
-            else:
-                prompt = body.get("prompt", "")
-                first_line = prompt.splitlines()[0] if prompt else ""
-                self._respond(
-                    200,
-                    {
-                        "choices": [
-                            {
-                                "text": f"thinking... \\boxed{{{first_line}}}",
-                                "finish_reason": "stop",
-                            }
-                        ]
-                    },
-                )
         finally:
             with server.lock:
                 server.in_flight -= 1
+        if self.path != "/v1/completions":
+            self._respond(404, {"error": "not found"})
+        elif action == "fail":
+            self._respond(500, {"error": "injected failure"})
+        elif action in ("408", "429"):
+            self._respond(
+                int(action), {"error": "try later"}, {"Retry-After": server.retry_after}
+            )
+        else:
+            prompt = body.get("prompt", "")
+            first_line = prompt.splitlines()[0] if prompt else ""
+            self._respond(
+                200,
+                {
+                    "choices": [
+                        {
+                            "text": f"thinking... \\boxed{{{first_line}}}",
+                            "finish_reason": "stop",
+                        }
+                    ]
+                },
+            )
 
     def _respond(self, status: int, payload: dict, headers: dict | None = None):
         data = json.dumps(payload).encode()

@@ -58,8 +58,8 @@ def inputs(tmp_path):
     return {"metrics": metrics, "labels": labels, "genloss": genloss, "dir": tmp_path}
 
 
-def run_predict(inputs, metric, mode):
-    out = inputs["dir"] / f"predict-{mode}.json"
+def run_predict(inputs, metric):
+    out = inputs["dir"] / "predict.json"
     code = main(
         [
             "predict",
@@ -67,23 +67,18 @@ def run_predict(inputs, metric, mode):
             "--labels", str(inputs["labels"]),
             "--genloss", str(inputs["genloss"]),
             "--metric", metric,
-            "--mode", mode,
             "--out", str(out),
         ]
     )
     return code, out
 
 
-@pytest.mark.parametrize(
-    "metric, mode",
-    [("pass1", "avg"), (f"avg:passk:{K}+genloss", "avg"), (f"avg:passk:{K}+genloss", "joint")],
-)
-def test_predict_exits_zero_and_reports_every_checkpoint(inputs, metric, mode):
-    code, out = run_predict(inputs, metric, mode)
+@pytest.mark.parametrize("metric", ["pass1", f"avg:passk:{K}+genloss"])
+def test_predict_exits_zero_and_reports_every_checkpoint(inputs, metric):
+    code, out = run_predict(inputs, metric)
     assert code == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["metric"] == metric
-    assert report["mode"] == mode
     assert sorted(report["predictions"]) == sorted(CHECKPOINTS)
     assert sorted(report["residuals"]) == LABELED
     for ckpt, residual in report["residuals"].items():
@@ -92,9 +87,9 @@ def test_predict_exits_zero_and_reports_every_checkpoint(inputs, metric, mode):
 
 
 def test_predict_is_byte_identical_across_runs(inputs):
-    _, out = run_predict(inputs, f"avg:passk:{K}+genloss", "avg")
+    _, out = run_predict(inputs, f"avg:passk:{K}+genloss")
     first = out.read_bytes()
-    _, out = run_predict(inputs, f"avg:passk:{K}+genloss", "avg")
+    _, out = run_predict(inputs, f"avg:passk:{K}+genloss")
     assert out.read_bytes() == first
 
 
@@ -148,15 +143,38 @@ def test_evaluate_scores_every_predictor_out_of_sample(inputs):
         assert entry["skipped"] == protocol.skipped, name
 
 
-@pytest.mark.parametrize("case", ["task line not an object", "gen_loss not a map"])
+TASK = {"task_id": "t0", "problem": "p", "benchmark": "b"}
+POINT = {"checkpoint_id": "ckpt-a", "x": 0.1, "y": 0.2}
+# case -> (kind, lines of the JSONL input, what the one error line must name)
+MALFORMED_LINES = {
+    "task line not an object": ("tasks", [[1, 2]], ["line 1"]),
+    "null task_id": ("tasks", [TASK, {**TASK, "task_id": None}], ["line 2", "'task_id'"]),
+    "int benchmark": ("tasks", [{**TASK, "benchmark": 5}], ["line 1", "'benchmark'"]),
+    "duplicate task": ("tasks", [TASK, {**TASK, "problem": "q"}], ["line 2", "line 1"]),
+    "no tasks": ("tasks", [], ["no tasks"]),
+    "int checkpoint_id": ("points", [{**POINT, "checkpoint_id": 5}], ["line 1", "'checkpoint_id'"]),
+    "bool x": ("points", [POINT, {**POINT, "checkpoint_id": "b", "x": True}], ["line 2", "'x'"]),
+    "string y": ("points", [{**POINT, "y": "0.2"}], ["line 1", "'y'"]),
+    "duplicate checkpoint": ("points", [POINT, POINT], ["line 2", "line 1"]),
+    "no points": ("points", [], ["no points"]),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_LINES, "gen_loss not a map"])
 def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
     d = inputs["dir"]
-    if case == "task line not an object":
-        (d / "tasks.jsonl").write_text("[1, 2]\n", encoding="utf-8")
-        config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
-                  "tasks_path": str(d / "tasks.jsonl"), "n": 1}
-        (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
+    named = []
+    if case in MALFORMED_LINES:
+        kind, rows, named = MALFORMED_LINES[case]
+        path = d / f"{kind}.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        if kind == "tasks":
+            config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
+                      "tasks_path": str(path), "n": 1}
+            (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
+        else:
+            argv = ["plot", "--points", str(path), "--out", str(d / "plot.svg")]
     else:
         (d / "bad-genloss.json").write_text(json.dumps({"gen_loss": [1]}), encoding="utf-8")
         argv = ["rank", "--metrics", str(inputs["metrics"]), "--k", str(K),
@@ -164,6 +182,8 @@ def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
+    for part in named:
+        assert part in err[0], err
 
 
 @pytest.mark.parametrize(
@@ -260,9 +280,7 @@ GOLDEN_STEPS = [
     ["rank", "--metrics", "metrics.csv", "--k", str(GOLDEN_K), "--genloss", "genloss.json",
      "--epsilon", "0.05", "--out", "rank-eps.json"],
     ["predict", "--metrics", "metrics.csv", "--labels", "labels.jsonl", "--genloss", "genloss.json",
-     "--metric", f"avg:passk:{GOLDEN_K}+genloss", "--mode", "avg", "--out", "predict-avg.json"],
-    ["predict", "--metrics", "metrics.csv", "--labels", "labels.jsonl", "--genloss", "genloss.json",
-     "--metric", f"avg:passk:{GOLDEN_K}+genloss", "--mode", "joint", "--out", "predict-joint.json"],
+     "--metric", f"avg:passk:{GOLDEN_K}+genloss", "--out", "predict-avg.json"],
     ["evaluate", "--metrics", "metrics.csv", "--labels", "labels.jsonl", "--genloss", "genloss.json",
      "--n-fit", "3", "--repeats", "50", "--seed", "0", "--k", str(GOLDEN_K),
      "--out", "evaluate.json"],
@@ -276,8 +294,7 @@ GOLDEN_SHA256 = {
     "genloss.json": "8cba1767fc838dca3546a8c36972c58dffa440d1e48f69798d3ce7b6beaa6adf",
     "rank.json": "82b77bd3e790cb6f1078d32f920b6e0b7f2a4a99fe5706e904dc9c9cad7396fb",
     "rank-eps.json": "9934b57b03597769e4a10b070a922f92f7d6be7dddc9ead7c1310b407b01f24f",
-    "predict-avg.json": "80175de63f27f1bc91d8b03b6e1ddd508fabc62abf6bf5a074cf219d82285a13",
-    "predict-joint.json": "36030b5573cd9704eb9e62aeabb101ceff1c78987720be5c6ac9fac2a8329f99",
+    "predict-avg.json": "893952055811664e0117659e7a19426ea01e328472fc2ae8b662f9cd7fd5a6a0",
     "evaluate.json": "7e6346b46f690a2152274f2e5dba61ada63ec1b079b3b556a6b694d19a29fd5e",
     "plot.svg": "aa6ccd21f1a554c6be0122af9e955b0524918fe55986562a5bd4d6ba65086ed1",
 }

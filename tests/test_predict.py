@@ -12,6 +12,7 @@ from rlready.predict import (
     rank_by_passk,
     rank_candidates,
 )
+from rlready.stats import LabeledPoint, fit_linear
 
 
 def make_candidate(ckpt, pass1, gen_loss=None, pass64=None, label=None):
@@ -237,19 +238,32 @@ class TestCalibrateAndPredict:
         for ckpt in avg:
             assert avg[ckpt] == pytest.approx(single[ckpt], abs=1e-12)
 
-    def test_joint_mode_runs(self):
-        rng = random.Random(2)
-        cands = []
-        for i in range(8):
-            p64 = rng.uniform(0.3, 0.9)
-            gl = rng.uniform(0.8, 1.6)
-            label = 0.4 * p64 - 0.2 * gl + 0.5
-            cands.append(
-                make_candidate(f"c{i}", 0.5, gen_loss=gl, pass64=p64, label=label)
-            )
-        preds = calibrate_and_predict(cands, "avg:passk:64+genloss", mode="joint")
-        for c in cands:
-            assert preds[c.checkpoint_id] == pytest.approx(c.post_rl_pass1, abs=1e-9)
+    def test_avg_is_the_mean_of_two_different_fits(self):
+        # pass1 fits y = x and genloss fits y = 1 - x, both exactly
+        cands = [
+            make_candidate("a", 0.2, gen_loss=0.8, label=0.2),
+            make_candidate("b", 0.6, gen_loss=0.4, label=0.6),
+            make_candidate("c", 0.4, gen_loss=0.6, label=0.4),
+            make_candidate("d", 0.3, gen_loss=0.9),
+        ]
+        avg = calibrate_and_predict(cands, "avg:passk:1+genloss")
+        by_pass1 = calibrate_and_predict(cands, "pass1")
+        by_genloss = calibrate_and_predict(cands, "genloss")
+        assert avg["d"] == pytest.approx((0.3 + 0.1) / 2, abs=1e-12)
+        for ckpt in avg:
+            assert avg[ckpt] == (by_pass1[ckpt] + by_genloss[ckpt]) / 2
+
+    def test_single_component_passes_its_fit_through(self):
+        cands = [
+            make_candidate("a", 0.0, label=0.1),
+            make_candidate("b", 0.1, label=0.3),
+            make_candidate("c", 0.25, label=0.55),
+            make_candidate("d", 0.2),
+        ]
+        labeled = [LabeledPoint(c.checkpoint_id, c.pass1, c.post_rl_pass1) for c in cands[:3]]
+        fit = fit_linear(labeled)
+        preds = calibrate_and_predict(cands, "pass1")
+        assert preds == {c.checkpoint_id: fit.predict(c.pass1) for c in cands}
 
     def test_too_few_labels(self):
         cands = [make_candidate("a", 0.1, label=0.2), make_candidate("b", 0.3)]

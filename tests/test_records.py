@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_records as reference
 from rlready import records
 from rlready.curate import SftExample
 from rlready.passk import TaskOutcome
@@ -13,11 +14,14 @@ from rlready.records import (
     GenLossRecord,
     Label,
     RecordStore,
+    SamplingTask,
     aggregate_genloss,
     dump,
     file_sha256,
     load,
+    to_json_line,
 )
+from rlready.stats import LabeledPoint
 from rlready.verifier import GoldAnswer, Sample
 
 
@@ -114,6 +118,8 @@ KIND_EXAMPLES = {
     "labels": [Label("m1", 0.5), Label("m2", 0.75)],
     "gold": [GoldAnswer("b1", "t1", "27")],
     "sft": [SftExample("e1", "prompt", "response")],
+    "tasks": [SamplingTask("t1", "problem", "b1"), SamplingTask("t1", "", "b2")],
+    "points": [LabeledPoint("m1", 0.25, 0.5), LabeledPoint("m2", -1.0, 0.75)],
 }
 
 
@@ -131,6 +137,82 @@ def test_dump_load_round_trip(kind, tmp_path):
     path2 = tmp_path / "again.jsonl"
     dump(kind, loaded, path2)
     assert path.read_text() == path2.read_text()
+
+
+# The six kinds that reference_records covers: each field's JSON name and what
+# the old parsers accepted for it ("str" nonempty, "text" any string, "int",
+# "num" int or float, "opt" absent, null or any string); bool is never a number
+REFERENCE_FIELDS = {
+    "samples": {"checkpoint_id": "str", "benchmark": "str", "task_id": "str",
+                "sample_index": "int", "text": "text", "finish_reason": "opt"},
+    "outcomes": {"checkpoint_id": "str", "benchmark": "str", "task_id": "str",
+                 "n": "int", "c": "int"},
+    "genloss": {"checkpoint_id": "str", "example_id": "str", "nll_sum": "num",
+                "token_count": "int"},
+    "labels": {"checkpoint_id": "str", "post_rl_pass1": "num"},
+    "gold": {"benchmark": "str", "task_id": "str", "answer": "str"},
+    "sft": {"example_id": "str", "prompt": "text", "response": "text"},
+}
+ABSENT = object()
+FIELD_VALUES = [ABSENT, None, True, 0, -3, 2.5, "", "x", "ü", [], {}]
+
+
+def _fits(rule, value):
+    if value is ABSENT:
+        return rule == "opt"
+    if rule == "opt":
+        return value is None or isinstance(value, str)
+    if rule in ("str", "text"):
+        return isinstance(value, str) and (value != "" or rule == "text")
+    accepted = int if rule == "int" else (int, float)
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
+@st.composite
+def reference_lines(draw):
+    """A line of one kind: every field a value of its type, then up to two redrawn
+    from all of FIELD_VALUES, so accepted lines and single bad fields are common."""
+    kind = draw(st.sampled_from(sorted(REFERENCE_FIELDS)))
+    fields = REFERENCE_FIELDS[kind]
+    values = {
+        name: draw(st.sampled_from([v for v in FIELD_VALUES if _fits(rule, v)]))
+        for name, rule in fields.items()
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(fields)), max_size=2)):
+        values[name] = draw(st.sampled_from(FIELD_VALUES))
+    return kind, {name: value for name, value in values.items() if value is not ABSENT}
+
+
+def _error_of(fn):
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reference_lines())
+def test_schema_table_matches_the_reference_parsers(case):
+    kind, obj = case
+    old, old_error = _error_of(lambda: reference._PARSERS[kind](obj))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(Path(tmp) / "in.jsonl", [json.dumps(obj)])
+        loaded, new_error = _error_of(lambda: load(kind, path))
+        assert (old_error is None) == (new_error is None), (old_error, new_error)
+        if old_error is None:
+            assert loaded == [old]
+            old_line = json.dumps(reference._WRITERS[kind](old), ensure_ascii=False)
+            assert to_json_line(kind, loaded[0]) == old_line
+            # the same key: a repeated line is a duplicate of that key
+            write_lines(path, [old_line, old_line])
+            _, duplicate = _error_of(lambda: load(kind, path))
+            assert f"key {reference._KEYS[kind](old)!r}" in duplicate
+            return
+    bad = [name for name, rule in REFERENCE_FIELDS[kind].items()
+           if not _fits(rule, obj.get(name, ABSENT))]
+    if len(bad) == 1:
+        named = f"'{bad[0]}'"
+        assert named in old_error and named in new_error.split("line 1: ", 1)[1]
 
 
 class TestAggregateGenloss:

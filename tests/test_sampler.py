@@ -240,6 +240,23 @@ class TestSampleCompletions:
         assert stored_keys(store) == {(f"t{i}", j) for i in range(2) for j in range(3)}
         assert not (store.root / "failures.jsonl").exists()
 
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_coordinator_stops_sending_requests(self, tmp_path, monkeypatch, error):
+        served_at_failure = []
+
+        def failing_append(self, kind, records):
+            served_at_failure.append(server.request_count)
+            raise error("simulated store failure")
+
+        monkeypatch.setattr(RecordStore, "append", failing_append)
+        with run_server() as server:
+            job = make_job(server.url, n_tasks=20, n=4, max_concurrency=2)
+            with pytest.raises(error):
+                sample_completions(job, RecordStore(tmp_path / "store"))
+            # only the requests already in flight may still be served
+            assert server.request_count - served_at_failure[0] <= job.max_concurrency + 2
+        assert served_at_failure[0] < 20 * 4
+
     def test_crash_mid_run_resumes_exactly_once(self, tmp_path, monkeypatch):
         store = RecordStore(tmp_path / "store")
         real_append = RecordStore.append

@@ -10,8 +10,6 @@ from rlready.stats import (
     EvalProtocolResult,
     LabeledPoint,
     LinearFit,
-    combine_predictions,
-    fit_bivariate,
     fit_linear,
     r_squared,
     repeated_split_eval,
@@ -247,45 +245,6 @@ class TestRepeatedSplitEval:
             LabeledPoint(f"m{i:02d}", i / n + rng.uniform(-0.01, 0.01), 0.3 * i / n + rng.uniform(-0.05, 0.05))
             for i in range(n)
         ]
-
-
-class TestCombineAndBivariate:
-    def test_mean_of_two_predictions(self):
-        fits = [("a", LinearFit(0.0, 0.4)), ("b", LinearFit(0.0, 0.6))]
-        out = combine_predictions(fits, {"m1": {"a": 0.0, "b": 0.0}})
-        assert out == {"m1": 0.5}
-
-    def test_singleton_passthrough(self):
-        fits = [("a", LinearFit(2.0, 0.1))]
-        out = combine_predictions(fits, {"m1": {"a": 0.2}})
-        assert out["m1"] == pytest.approx(0.5, abs=1e-12)
-
-    def test_agreeing_fits_idempotent(self):
-        fit = LinearFit(1.0, 0.0)
-        out = combine_predictions([("a", fit), ("b", fit)], {"m1": {"a": 0.3, "b": 0.3}})
-        assert out["m1"] == pytest.approx(0.3, abs=1e-15)
-
-    def test_missing_feature_names_both(self):
-        fits = [("a", LinearFit(1.0, 0.0))]
-        with pytest.raises(ValueError) as exc:
-            combine_predictions(fits, {"m9": {}})
-        assert "m9" in str(exc.value) and "'a'" in str(exc.value)
-
-    def test_bivariate_recovers_plane(self):
-        rng = random.Random(6)
-        data = []
-        for _ in range(20):
-            x1, x2 = rng.uniform(0, 1), rng.uniform(0, 1)
-            data.append((x1, x2, 0.3 * x1 - 0.7 * x2 + 0.05))
-        a1, a2, b = fit_bivariate(data)
-        assert a1 == pytest.approx(0.3, abs=1e-9)
-        assert a2 == pytest.approx(-0.7, abs=1e-9)
-        assert b == pytest.approx(0.05, abs=1e-9)
-
-    def test_bivariate_collinear_rejected(self):
-        data = [(x, 2 * x, x) for x in (0.0, 0.25, 0.5, 0.75)]
-        with pytest.raises(ValueError, match="collinear"):
-            fit_bivariate(data)
 
 
 @given(
