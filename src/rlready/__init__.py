@@ -23,6 +23,8 @@ from .records import (
     aggregate_genloss,
     dump,
     file_sha256,
+    genloss_by_checkpoint,
+    iter_records,
     load,
 )
 from .sampler import (
@@ -80,6 +82,8 @@ __all__ = [
     "extract_boxed",
     "file_sha256",
     "fit_linear",
+    "genloss_by_checkpoint",
+    "iter_records",
     "load",
     "measure_lengths",
     "normalize",

@@ -32,7 +32,15 @@ from .predict import (
     parse_metric,
     rank_candidates,
 )
-from .records import RecordStore, aggregate_genloss, dump, file_sha256, load
+from .records import (
+    RecordStore,
+    dump,
+    file_sha256,
+    finite_float,
+    genloss_by_checkpoint,
+    iter_records,
+    load,
+)
 from .sampler import SamplingIncomplete, SamplingJob, sample_completions
 from .stats import (
     LabeledPoint,
@@ -156,10 +164,14 @@ def _load_genloss_scalars(path: Path) -> dict[str, float]:
     gen_loss = payload.get("gen_loss") if isinstance(payload, dict) else None
     if not isinstance(gen_loss, dict):
         raise ValueError(f"{path}: expected a genloss report with a 'gen_loss' map")
-    try:
-        return {str(k): float(v) for k, v in gen_loss.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: gen_loss values must be numbers: {exc}") from None
+    scalars = {}
+    for ckpt, value in gen_loss.items():
+        # exact classes: a JSON true is a bool, never a number
+        number = finite_float(value) if value.__class__ in (int, float) else None
+        if number is None:
+            raise ValueError(f"{path}: gen_loss of {ckpt!r} must be a finite number")
+        scalars[ckpt] = number
+    return scalars
 
 
 def _build_candidates(
@@ -274,14 +286,7 @@ def cmd_passk(args) -> None:
 
 
 def cmd_genloss(args) -> None:
-    records = load("genloss", args.records)
-    by_checkpoint: dict[str, list] = {}
-    for r in records:
-        by_checkpoint.setdefault(r.checkpoint_id, []).append(r)
-    scalars = {
-        ckpt: aggregate_genloss(recs, mode=args.mode)
-        for ckpt, recs in sorted(by_checkpoint.items())
-    }
+    scalars = genloss_by_checkpoint(iter_records("genloss", args.records), mode=args.mode)
     payload = {
         "metadata": _metadata("genloss", {"records": Path(args.records)}, mode=args.mode),
         "gen_loss": scalars,

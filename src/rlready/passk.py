@@ -173,7 +173,9 @@ def aggregate(
     benchmark. Both are computed in sorted (benchmark_id, task_id) order so
     the result is independent of input order.
 
-    pass1 is always computed (at k=1), whether or not 1 is in ks.
+    pass1 is always computed (at k=1), whether or not 1 is in ks. A task's
+    curve depends only on its (n, c), so each distinct (n, c) is evaluated
+    once per call and shared by every task that has it.
     """
     outs = sorted(outcomes, key=lambda o: (o.benchmark_id, o.task_id))
     if not outs:
@@ -201,9 +203,19 @@ def aggregate(
     for o in outs:
         by_benchmark.setdefault(o.benchmark_id, []).append(o)
 
+    # one curve per distinct (n, c), kept for this call only; every n is at
+    # least max k (checked above), so pass_curve cannot raise here
+    curves_by_nc: dict[tuple[int, int], PassKCurve] = {}
+
+    def curve(o: TaskOutcome) -> PassKCurve:
+        cu = curves_by_nc.get((o.n, o.c))
+        if cu is None:
+            cu = curves_by_nc[o.n, o.c] = pass_curve(o, ks)
+        return cu
+
     per_benchmark: dict[str, PassKCurve] = {}
     for bench, tasks in by_benchmark.items():
-        curves = [pass_curve(o, ks) for o in tasks]
+        curves = [curve(o) for o in tasks]
         per_benchmark[bench] = PassKCurve(
             ks=ks,
             values=tuple(_mean([cu.values[i] for cu in curves]) for i in range(len(ks))),
@@ -223,7 +235,7 @@ def aggregate(
         ]
         pass1 = _mean(bench_pass1)
     else:
-        task_curves = [pass_curve(o, ks) for o in outs]
+        task_curves = [curve(o) for o in outs]
         overall = PassKCurve(
             ks=ks,
             values=tuple(

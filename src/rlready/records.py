@@ -21,22 +21,27 @@ text, finish_reason, prompt, response and problem. A str | None field may
 be absent, and is left out on write when it is None. Unknown fields are
 ignored.
 
-Loaders reject the whole file on the first invalid line, reporting the line
-number and offending field, and enforce per-kind uniqueness keys. The store
-is append-only with a manifest tracking per-file line counts and whole-file
-sha256 hashes, so every derived number can be audited back to raw records.
-The store keeps each file's hash running across appends, so an append costs
-the bytes it writes, not the size of the file.
+There is one reader, iter_records, which streams a file's validated records
+and keeps only their keys, for the per-kind uniqueness check; load is
+list(iter_records(...)). A file is rejected on its first invalid line,
+reporting the line number and offending field. A number field must be
+finite: NaN, infinities and integers beyond the float range are rejected.
+
+The store is append-only with a manifest tracking per-file line counts and
+whole-file sha256 hashes, so every derived number can be audited back to raw
+records. The store keeps each file's hash running across appends, so an
+append costs the bytes it writes, not the size of the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence, get_args, get_type_hints
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
 from .curate import SftExample
 from .passk import TaskOutcome
@@ -156,6 +161,15 @@ def _kind(kind: str) -> _Schema:
         raise ValueError(f"unknown record kind {kind!r} (expected one of {KINDS})") from None
 
 
+def finite_float(value: int | float) -> float | None:
+    """value as a float, or None if it is infinite, NaN or an int beyond the float range."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _field_values(checks: tuple[tuple, ...], obj: dict) -> list:
     values = []
     for name, accepted, optional, nonempty, as_float, type_name in checks:
@@ -173,20 +187,24 @@ def _field_values(checks: tuple[tuple, ...], obj: dict) -> list:
         if nonempty and value == "":
             raise ValueError(f"field {name!r}: must be nonempty")
         if as_float:
-            value = float(value)
+            value = finite_float(value)
+            if value is None:
+                raise ValueError(f"field {name!r}: must be a finite number")
         values.append(value)
     return values
 
 
-def load(kind: str, path: str | Path) -> list:
-    """Load and validate one JSONL file of the given kind.
+def iter_records(kind: str, path: str | Path) -> Iterator:
+    """Yield the validated records of one JSONL file of the given kind, in file order.
 
-    The whole file is rejected on the first malformed line, schema violation
-    or duplicate key; errors carry the line number and field name.
+    Only each record's key is kept, for the duplicate check; a caller that
+    folds the stream holds no record it has moved past. The file is rejected
+    on the first malformed line, schema violation or duplicate key, with the
+    line number and field name, so a caller must not act on what it received
+    before the error.
     """
     spec = _kind(kind)
     cls, checks, key_len, order = spec.cls, spec.checks, spec.key_len, spec.order
-    records = []
     seen: dict[tuple, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -210,8 +228,12 @@ def load(kind: str, path: str | Path) -> list:
                     f"(first seen at line {seen[key]})"
                 )
             seen[key] = lineno
-            records.append(record)
-    return records
+            yield record
+
+
+def load(kind: str, path: str | Path) -> list:
+    """Load and validate one whole JSONL file of the given kind (see iter_records)."""
+    return list(iter_records(kind, path))
 
 
 def to_json_line(kind: str, record: Any) -> str:
@@ -235,25 +257,49 @@ def dump(kind: str, records: Iterable[Any], path: str | Path) -> int:
     return count
 
 
-def aggregate_genloss(
-    records: Sequence[GenLossRecord], mode: str = "token_weighted"
-) -> float:
-    """Collapse one checkpoint's per-example losses into a scalar.
+def genloss_by_checkpoint(
+    records: Iterable[GenLossRecord], mode: str = "token_weighted"
+) -> dict[str, float]:
+    """Collapse each checkpoint's per-example losses into a scalar, in one pass.
 
     token_weighted (default) is sum(nll_sum)/sum(token_count), the corpus
     mean per-token NLL a trainer reports as validation loss; per_example is
-    the unweighted mean of per-example means.
+    the unweighted mean of per-example means. Only the summed columns are
+    kept, not the records, so records may be a stream of any length. Each
+    sum is the builtin sum of a list in input order, so a stream and a list
+    of the same records give the same bits.
     """
-    if not records:
-        raise ValueError("no genloss records to aggregate")
     if mode not in ("token_weighted", "per_example"):
         raise ValueError(f"mode must be 'token_weighted' or 'per_example', got {mode!r}")
-    checkpoints = sorted({r.checkpoint_id for r in records})
-    if len(checkpoints) > 1:
-        raise ValueError(f"genloss records span multiple checkpoints: {checkpoints}")
-    if mode == "token_weighted":
-        return sum(r.nll_sum for r in records) / sum(r.token_count for r in records)
-    return sum(r.nll_sum / r.token_count for r in records) / len(records)
+    # checkpoint -> (nll_sum column, token_count column); per_example keeps
+    # the per-example means in the first column and leaves the second empty
+    columns: dict[str, tuple[list[float], list[int]]] = {}
+    weighted = mode == "token_weighted"
+    for r in records:
+        entry = columns.get(r.checkpoint_id)
+        if entry is None:
+            entry = columns[r.checkpoint_id] = ([], [])
+        nll, tokens = entry
+        if weighted:
+            nll.append(r.nll_sum)
+            tokens.append(r.token_count)
+        else:
+            nll.append(r.nll_sum / r.token_count)
+    if weighted:
+        return {ckpt: sum(nll) / sum(tokens) for ckpt, (nll, tokens) in sorted(columns.items())}
+    return {ckpt: sum(means) / len(means) for ckpt, (means, _) in sorted(columns.items())}
+
+
+def aggregate_genloss(
+    records: Sequence[GenLossRecord], mode: str = "token_weighted"
+) -> float:
+    """One checkpoint's scalar loss (see genloss_by_checkpoint for the modes)."""
+    if not records:
+        raise ValueError("no genloss records to aggregate")
+    scalars = genloss_by_checkpoint(records, mode)
+    if len(scalars) > 1:
+        raise ValueError(f"genloss records span multiple checkpoints: {list(scalars)}")
+    return next(iter(scalars.values()))
 
 
 def _sha256_of(path: str | Path):

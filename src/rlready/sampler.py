@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from urllib.parse import SplitResult, urlsplit
 
-from .records import RecordStore, SamplingTask
+from .records import RecordStore, SamplingTask, iter_records
 from .verifier import Sample
 
 API_KEY_ENV = "RLREADY_API_KEY"
@@ -233,9 +233,11 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
     so a rerun after a crash appends exactly the missing samples.
     """
     checkpoint = job.effective_checkpoint_id
+    # the resume index holds keys only: the texts stream past unkept
+    samples_path = store.path("samples")
     existing: set[tuple[str, str, int]] = {
         (s.benchmark_id, s.task_id, s.sample_index)
-        for s in store.load("samples")
+        for s in (iter_records("samples", samples_path) if samples_path.exists() else ())
         if s.checkpoint_id == checkpoint
     }
     template = job.request_template()

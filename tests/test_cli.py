@@ -4,13 +4,17 @@ Inputs are a tiny metrics CSV, labels JSONL and genloss JSON written to
 tmp_path; the commands must exit 0 and write well-formed reports.
 """
 
+import gc
 import hashlib
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from rlready.cli import METRICS_CSV_MARKER, main
+from rlready.records import aggregate_genloss, load
 from rlready.stats import LabeledPoint, repeated_split_eval, repeated_split_eval_combined
 
 K = 64
@@ -145,7 +149,10 @@ def test_evaluate_scores_every_predictor_out_of_sample(inputs):
 
 TASK = {"task_id": "t0", "problem": "p", "benchmark": "b"}
 POINT = {"checkpoint_id": "ckpt-a", "x": 0.1, "y": 0.2}
-# case -> (kind, lines of the JSONL input, what the one error line must name)
+LOSS = {"checkpoint_id": "ckpt-a", "example_id": "e0", "nll_sum": 2.5, "token_count": 3}
+HUGE = "1" + "0" * 400  # an integer beyond the float range
+# case -> (kind, lines of the JSONL input as objects or raw text, what the one
+# error line must name)
 MALFORMED_LINES = {
     "task line not an object": ("tasks", [[1, 2]], ["line 1"]),
     "null task_id": ("tasks", [TASK, {**TASK, "task_id": None}], ["line 2", "'task_id'"]),
@@ -155,30 +162,66 @@ MALFORMED_LINES = {
     "int checkpoint_id": ("points", [{**POINT, "checkpoint_id": 5}], ["line 1", "'checkpoint_id'"]),
     "bool x": ("points", [POINT, {**POINT, "checkpoint_id": "b", "x": True}], ["line 2", "'x'"]),
     "string y": ("points", [{**POINT, "y": "0.2"}], ["line 1", "'y'"]),
+    "infinite x": ("points", ['{"checkpoint_id": "a", "x": Infinity, "y": 0.2}'],
+                   ["line 1", "'x'", "finite"]),
     "duplicate checkpoint": ("points", [POINT, POINT], ["line 2", "line 1"]),
     "no points": ("points", [], ["no points"]),
+    "huge nll_sum": ("genloss", [LOSS, json.dumps(LOSS).replace("2.5", HUGE)],
+                     ["line 2", "'nll_sum'", "finite"]),
+    "overflowing nll_sum": ("genloss", [json.dumps(LOSS).replace("2.5", "1e400")],
+                            ["line 1", "'nll_sum'", "finite"]),
+    "infinite nll_sum": ("genloss", [json.dumps(LOSS).replace("2.5", "Infinity")],
+                         ["line 1", "'nll_sum'", "finite"]),
+    "NaN post_rl_pass1": ("labels", ['{"checkpoint_id": "ckpt-a", "post_rl_pass1": NaN}'],
+                          ["line 1", "'post_rl_pass1'", "finite"]),
+    "huge post_rl_pass1": ("labels", ['{"checkpoint_id": "ckpt-a", "post_rl_pass1": %s}' % HUGE],
+                           ["line 1", "'post_rl_pass1'", "finite"]),
+}
+# case -> (command, genloss report text, what the one error line must name)
+MALFORMED_GENLOSS_REPORTS = {
+    "gen_loss not a map": ("rank", json.dumps({"gen_loss": [1]}), []),
+    "bool gen_loss": ("rank", json.dumps({"gen_loss": {"ckpt-a": True, "ckpt-b": "0.5"}}),
+                      ["'ckpt-a'", "finite number"]),
+    "string gen_loss": ("rank", json.dumps({"gen_loss": {"ckpt-a": 1.0, "ckpt-b": "0.5"}}),
+                        ["'ckpt-b'"]),
+    "overflowing gen_loss": ("rank", '{"gen_loss": {"ckpt-a": 1e400}}', ["'ckpt-a'"]),
+    "infinite gen_loss": ("predict", '{"gen_loss": {"ckpt-c": Infinity}}', ["'ckpt-c'"]),
+    "huge gen_loss": ("predict", '{"gen_loss": {"ckpt-d": %s}}' % HUGE, ["'ckpt-d'"]),
+    "null gen_loss": ("predict", '{"gen_loss": {"ckpt-e": null}}', ["'ckpt-e'"]),
 }
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_LINES, "gen_loss not a map"])
+@pytest.mark.parametrize("case", [*MALFORMED_LINES, *MALFORMED_GENLOSS_REPORTS])
 def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
     d = inputs["dir"]
-    named = []
     if case in MALFORMED_LINES:
         kind, rows, named = MALFORMED_LINES[case]
         path = d / f"{kind}.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        path.write_text(
+            "".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows),
+            encoding="utf-8",
+        )
         if kind == "tasks":
             config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
                       "tasks_path": str(path), "n": 1}
             (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
             argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
-        else:
+        elif kind == "points":
             argv = ["plot", "--points", str(path), "--out", str(d / "plot.svg")]
+        elif kind == "genloss":
+            argv = ["genloss", "--records", str(path), "--out", str(d / "out.json")]
+        else:
+            argv = ["predict", "--metrics", str(inputs["metrics"]), "--labels", str(path),
+                    "--metric", "pass1", "--out", str(d / "out.json")]
     else:
-        (d / "bad-genloss.json").write_text(json.dumps({"gen_loss": [1]}), encoding="utf-8")
-        argv = ["rank", "--metrics", str(inputs["metrics"]), "--k", str(K),
-                "--genloss", str(d / "bad-genloss.json"), "--out", str(d / "rank.json")]
+        command, text, named = MALFORMED_GENLOSS_REPORTS[case]
+        (d / "bad-genloss.json").write_text(text, encoding="utf-8")
+        argv = [command, "--metrics", str(inputs["metrics"]),
+                "--genloss", str(d / "bad-genloss.json"), "--out", str(d / "out.json")]
+        if command == "rank":
+            argv += ["--k", str(K)]
+        else:
+            argv += ["--labels", str(inputs["labels"]), "--metric", "genloss"]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
@@ -211,6 +254,55 @@ def test_collect_config_of_wrong_type_or_range_exits_one_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
     assert key in err[0]
     assert not (d / "store").exists()
+
+
+# ---------------------------------------------------------- genloss streaming
+
+
+def write_genloss_lines(path: Path, lines: int, checkpoints: int, seed: int) -> None:
+    """genloss.jsonl with the checkpoints interleaved line by line."""
+    rng = random.Random(seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(lines):
+            row = {"checkpoint_id": f"ckpt-{i % checkpoints}", "example_id": f"ex-{i:06d}",
+                   "nll_sum": rng.uniform(0.0, 900.0), "token_count": rng.randint(1, 999)}
+            fh.write(json.dumps(row) + "\n")
+
+
+@pytest.mark.parametrize("mode", ["token_weighted", "per_example"])
+def test_genloss_streams_to_the_bits_of_aggregate_genloss(tmp_path, mode):
+    records = tmp_path / "genloss.jsonl"
+    write_genloss_lines(records, 2000, 7, seed=3)
+    out = tmp_path / "genloss.json"
+    assert main(["genloss", "--records", str(records), "--mode", mode, "--out", str(out)]) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))["gen_loss"]
+    loaded = load("genloss", records)
+    assert sorted(got) == [f"ckpt-{i}" for i in range(7)]
+    for ckpt, value in got.items():
+        own = [r for r in loaded if r.checkpoint_id == ckpt]
+        assert value.hex() == aggregate_genloss(own, mode).hex(), ckpt
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that fn allocates, above what was allocated before the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_genloss_keeps_two_numbers_per_record_not_the_record(tmp_path):
+    records = tmp_path / "genloss.jsonl"
+    write_genloss_lines(records, 50_000, 8, seed=5)
+    out = tmp_path / "genloss.json"
+    genloss = traced_peak(lambda: main(["genloss", "--records", str(records), "--out", str(out)]))
+    whole = traced_peak(lambda: load("genloss", records))
+    # what remains is the duplicate-key index, which the reader must keep
+    assert genloss <= 0.85 * whole, (genloss, whole)
 
 
 # ------------------------------------------------------------ golden pipeline

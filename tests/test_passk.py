@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_passk import aggregate as reference_aggregate
+from rlready import passk
 from rlready.passk import (
     CheckpointMetrics,
     PassKCurve,
@@ -253,3 +255,59 @@ class TestTypes:
             CheckpointMetrics("m", pass1=1.5, passk=curve)
         with pytest.raises(ValueError):
             CheckpointMetrics("m", pass1=0.5, passk=curve, gen_loss=-1.0)
+
+
+class TestAggregateSharesCurves:
+    """aggregate evaluates each distinct (n, c) once per call, with the bits of
+    the per-task reference in tests/reference_passk.py."""
+
+    @staticmethod
+    def _bits(m: CheckpointMetrics):
+        return (
+            m.checkpoint_id,
+            m.pass1.hex(),
+            [v.hex() for v in m.passk.values],
+            {b: [v.hex() for v in cu.values] for b, cu in m.per_benchmark.items()},
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from("ABC"), st.sampled_from((8, 9, 16)), st.integers(0, 16)),
+            min_size=1,
+            max_size=60,
+        ),
+        with_one=st.booleans(),
+        rest=st.lists(st.integers(2, 8), min_size=1, max_size=4, unique=True),
+        mode=st.sampled_from(("macro", "micro")),
+    )
+    def test_matches_the_per_task_reference_bitwise(self, rows, with_one, rest, mode):
+        # few n and c values, so most tasks repeat another task's (n, c)
+        outs = [
+            TaskOutcome("m1", bench, f"t{i}", n=n, c=min(c, n))
+            for i, (bench, n, c) in enumerate(rows)
+        ]
+        ks = ([1] if with_one else []) + sorted(rest)
+        got = aggregate(outs, ks, mode=mode)
+        assert self._bits(got) == self._bits(reference_aggregate(outs, ks, mode=mode))
+
+    @pytest.mark.parametrize("mode", ["macro", "micro"])
+    def test_one_pass_curve_per_distinct_n_c_per_call(self, monkeypatch, mode):
+        calls = []
+
+        def counting(outcome, ks):
+            calls.append((outcome.n, outcome.c))
+            return pass_curve(outcome, ks)
+
+        monkeypatch.setattr(passk, "pass_curve", counting)
+        rng = random.Random(7)
+        outs = [
+            TaskOutcome("m1", bench, f"t{t}", n=16, c=rng.randint(0, 4))
+            for bench in "AB"
+            for t in range(40)
+        ]
+        distinct = sorted({(o.n, o.c) for o in outs})
+        for _ in range(2):  # nothing carries over from one call to the next
+            calls.clear()
+            passk.aggregate(outs, [1, 4, 16], mode=mode)
+            assert sorted(calls) == distinct

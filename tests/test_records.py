@@ -1,4 +1,5 @@
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from rlready.records import (
     aggregate_genloss,
     dump,
     file_sha256,
+    genloss_by_checkpoint,
+    iter_records,
     load,
     to_json_line,
 )
@@ -90,6 +93,18 @@ class TestLoad:
         path = tmp_path / "labels.jsonl"
         path.write_text('{"checkpoint_id":"m1","post_rl_pass1":0.5}\n\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: empty line"):
+            load("labels", path)
+
+    def test_iter_records_streams_and_stops_at_the_bad_line(self, tmp_path):
+        path = write_lines(
+            tmp_path / "labels.jsonl",
+            ['{"checkpoint_id":"m1","post_rl_pass1":0.5}', '{"checkpoint_id":"m1"}'],
+        )
+        stream = iter_records("labels", path)
+        assert next(stream) == Label("m1", 0.5)
+        with pytest.raises(ValueError, match="line 2: missing field"):
+            next(stream)
+        with pytest.raises(ValueError, match="line 2: missing field"):
             load("labels", path)
 
     def test_unknown_kind(self, tmp_path):
@@ -242,6 +257,29 @@ class TestAggregateGenloss:
         records = [GenLossRecord("m1", "a", 1, 1), GenLossRecord("m2", "b", 1, 1)]
         with pytest.raises(ValueError, match="multiple checkpoints"):
             aggregate_genloss(records)
+
+    def test_one_pass_over_interleaved_checkpoints_keeps_the_formulas_bits(self):
+        rng = random.Random(13)
+        records = [
+            GenLossRecord(f"m{i % 3}", f"e{i}", rng.uniform(0.0, 500.0), rng.randint(1, 400))
+            for i in range(300)
+        ]
+        weighted = genloss_by_checkpoint(iter(records), "token_weighted")
+        per_example = genloss_by_checkpoint(iter(records), "per_example")
+        assert list(weighted) == list(per_example) == ["m0", "m1", "m2"]
+        for ckpt in weighted:
+            own = [r for r in records if r.checkpoint_id == ckpt]
+            # the two expressions, summed over the checkpoint's records in file order
+            token_mean = sum(r.nll_sum for r in own) / sum(r.token_count for r in own)
+            example_mean = sum(r.nll_sum / r.token_count for r in own) / len(own)
+            assert weighted[ckpt].hex() == token_mean.hex()
+            assert per_example[ckpt].hex() == example_mean.hex()
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            aggregate_genloss([GenLossRecord("m1", "a", 1, 1)], "median")
+        with pytest.raises(ValueError, match="mode must be"):
+            genloss_by_checkpoint([], "median")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="nll_sum"):

@@ -1,6 +1,8 @@
+import gc
 import http.client
 import ssl
 import time
+import tracemalloc
 from urllib.parse import urlsplit
 
 import pytest
@@ -14,6 +16,7 @@ from rlready.sampler import (
     _connection,
     sample_completions,
 )
+from rlready.verifier import Sample
 
 
 def make_job(url, n_tasks=2, n=3, **overrides):
@@ -315,6 +318,27 @@ class TestSampleCompletions:
         )
         with pytest.raises(SamplingIncomplete):
             sample_completions(job, store)
+
+    def test_resume_index_holds_keys_not_texts(self, tmp_path):
+        # 100 tasks x 20 samples of about 4 KB, all present: nothing is requested,
+        # and the index of what is there must not hold the texts
+        job = make_job("http://127.0.0.1:9", n_tasks=100, n=20)
+        store = RecordStore(tmp_path / "store")
+        for task in job.tasks:
+            text = f"{task.task_id} " * 1300
+            store.append("samples", [
+                Sample("test-model", task.benchmark_id, task.task_id, i, text) for i in range(job.n)
+            ])
+        size = store.path("samples").stat().st_size
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert sample_completions(job, store) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4, (peak, size)
 
 
 class TestSamplingJobValidation:
