@@ -11,17 +11,20 @@ The complement ratio is evaluated in product form
     C(n-c, k) / C(n, k) = prod_{j=0}^{k-1} (n - c - j) / (n - j)
 
 so every intermediate stays in [0, 1]: no factorials, no log-gamma, no
-overflow even for n in the tens of thousands.
+overflow even for n in the tens of thousands. That product is written once,
+in _complement_values; pass_at_k and pass_curve both read from it.
 
 Aggregation is macro by default: mean over tasks within each benchmark,
 then the unweighted mean across benchmarks, so small benchmarks carry the
 same weight as large ones. A micro (task-weighted) mode is available for
-sensitivity checks.
+sensitivity checks. A checkpoint's Pass@1 is its overall curve at k=1,
+which aggregate evaluates whether or not 1 is among the requested ks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Sequence
 
 
@@ -104,49 +107,12 @@ def _check_ks(ks: Sequence[int]) -> None:
             raise ValueError(f"ks must be strictly increasing, got {a} before {b}")
 
 
-def pass_at_k(n: int, c: int, k: int) -> float:
-    """Unbiased Pass@k for a single task: 1 - C(n-c, k) / C(n, k).
+def _complement_values(n: int, c: int, ks: Sequence[int]) -> list[float]:
+    """1 - C(n-c, k) / C(n, k) at each k of the strictly increasing ks.
 
-    Args:
-        n: total samples generated for the task (>= 1).
-        c: correct samples among them (0 <= c <= n).
-        k: subset size (1 <= k <= n).
-
-    Returns:
-        Probability in [0, 1] that a uniformly random size-k subset of the
-        n samples contains at least one correct sample.
-
-    Raises:
-        ValueError: if any of the bounds above is violated.
+    One running product serves every k; once fewer than k incorrect samples
+    remain, the ratio is exactly 0 and every later value is 1.0.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got n={n}")
-    if not 0 <= c <= n:
-        raise ValueError(f"c must be in [0, n={n}], got c={c}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, n={n}], got k={k}")
-    if n - c < k:
-        # fewer than k incorrect samples: every size-k subset hits a correct one
-        return 1.0
-    ratio = 1.0
-    for j in range(k):
-        ratio *= (n - c - j) / (n - j)
-    return 1.0 - ratio
-
-
-def pass_curve(outcome: TaskOutcome, ks: Sequence[int]) -> PassKCurve:
-    """Evaluate pass@k at each k in ks for one task outcome.
-
-    The shared product is accumulated once across increasing k, so the curve
-    is bitwise identical to independent pass_at_k calls and nondecreasing.
-    """
-    ks = tuple(ks)
-    _check_ks(ks)
-    n, c = outcome.n, outcome.c
-    if ks[-1] > n:
-        raise ValueError(
-            f"k={ks[-1]} exceeds n={n} for task {outcome.task_id!r}"
-        )
     values: list[float] = []
     ratio = 1.0
     pos = 0
@@ -158,7 +124,37 @@ def pass_curve(outcome: TaskOutcome, ks: Sequence[int]) -> PassKCurve:
         if ks[pos] == j + 1:
             values.append(1.0 - ratio)
             pos += 1
-    return PassKCurve(ks=ks, values=tuple(values))
+    return values
+
+
+def pass_at_k(n: int, c: int, k: int) -> float:
+    """Unbiased Pass@k for a single task: 1 - C(n-c, k) / C(n, k).
+
+    The probability that a uniformly random size-k subset of the n samples,
+    c of them correct, holds a correct one. Raises ValueError unless n >= 1,
+    0 <= c <= n and 1 <= k <= n.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n}")
+    if not 0 <= c <= n:
+        raise ValueError(f"c must be in [0, n={n}], got c={c}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, n={n}], got k={k}")
+    return _complement_values(n, c, (k,))[0]
+
+
+def pass_curve(outcome: TaskOutcome, ks: Sequence[int]) -> PassKCurve:
+    """Evaluate pass@k at each k in ks for one task outcome.
+
+    The curve comes from the same product as pass_at_k, accumulated once
+    across increasing k, so it is bitwise identical to independent pass_at_k
+    calls and nondecreasing.
+    """
+    ks = tuple(ks)
+    _check_ks(ks)
+    if ks[-1] > outcome.n:
+        raise ValueError(f"k={ks[-1]} exceeds n={outcome.n} for task {outcome.task_id!r}")
+    return PassKCurve(ks=ks, values=tuple(_complement_values(outcome.n, outcome.c, ks)))
 
 
 def aggregate(
@@ -173,9 +169,9 @@ def aggregate(
     benchmark. Both are computed in sorted (benchmark_id, task_id) order so
     the result is independent of input order.
 
-    pass1 is always computed (at k=1), whether or not 1 is in ks. A task's
-    curve depends only on its (n, c), so each distinct (n, c) is evaluated
-    once per call and shared by every task that has it.
+    Each distinct (n, c) is evaluated once per call, at ks and k=1, and
+    shared by every task that has it. pass1 is the overall curve at k=1,
+    whether or not 1 is in ks.
     """
     outs = sorted(outcomes, key=lambda o: (o.benchmark_id, o.task_id))
     if not outs:
@@ -185,73 +181,49 @@ def aggregate(
     checkpoint_ids = sorted({o.checkpoint_id for o in outs})
     if len(checkpoint_ids) > 1:
         raise ValueError(f"outcomes span multiple checkpoints: {checkpoint_ids}")
-    seen: set[tuple[str, str]] = set()
-    for o in outs:
-        key = (o.benchmark_id, o.task_id)
-        if key in seen:
+    keys = [(o.benchmark_id, o.task_id) for o in outs]
+    for key, next_key in zip(keys, keys[1:]):  # sorted, so duplicates are adjacent
+        if key == next_key:
             raise ValueError(f"duplicate task {key!r} in outcome set")
-        seen.add(key)
     ks = tuple(ks)
     _check_ks(ks)
     too_small = [o.task_id for o in outs if o.n < ks[-1]]
     if too_small:
-        raise ValueError(
-            f"tasks with n < max k={ks[-1]}: {', '.join(too_small)}"
-        )
+        raise ValueError(f"tasks with n < max k={ks[-1]}: {', '.join(too_small)}")
 
-    by_benchmark: dict[str, list[TaskOutcome]] = {}
-    for o in outs:
-        by_benchmark.setdefault(o.benchmark_id, []).append(o)
-
+    # every curve also holds k=1, dropped from the reported curves if not asked
+    ks1 = ks if ks[0] == 1 else (1, *ks)
+    drop = len(ks1) - len(ks)
     # one curve per distinct (n, c), kept for this call only; every n is at
     # least max k (checked above), so pass_curve cannot raise here
-    curves_by_nc: dict[tuple[int, int], PassKCurve] = {}
+    values_by_nc: dict[tuple[int, int], tuple[float, ...]] = {}
+    for o in outs:
+        if (o.n, o.c) not in values_by_nc:
+            values_by_nc[o.n, o.c] = pass_curve(o, ks1).values
 
-    def curve(o: TaskOutcome) -> PassKCurve:
-        cu = curves_by_nc.get((o.n, o.c))
-        if cu is None:
-            cu = curves_by_nc[o.n, o.c] = pass_curve(o, ks)
-        return cu
+    def mean_curve(tasks: Iterable[TaskOutcome]) -> list[float]:
+        return [_mean(column) for column in zip(*(values_by_nc[o.n, o.c] for o in tasks))]
 
-    per_benchmark: dict[str, PassKCurve] = {}
-    for bench, tasks in by_benchmark.items():
-        curves = [curve(o) for o in tasks]
-        per_benchmark[bench] = PassKCurve(
-            ks=ks,
-            values=tuple(_mean([cu.values[i] for cu in curves]) for i in range(len(ks))),
-        )
+    bench_values = {
+        bench: mean_curve(tasks)
+        for bench, tasks in groupby(outs, key=lambda o: o.benchmark_id)
+    }
 
+    # the overall curve is a mean of group means: one group per benchmark in
+    # macro mode, one group of every task in micro mode (dividing by 1 is exact)
     if mode == "macro":
-        benches = sorted(per_benchmark)
-        overall = PassKCurve(
-            ks=ks,
-            values=tuple(
-                _mean([per_benchmark[b].values[i] for b in benches])
-                for i in range(len(ks))
-            ),
-        )
-        bench_pass1 = [
-            _mean([pass_at_k(o.n, o.c, 1) for o in by_benchmark[b]]) for b in benches
-        ]
-        pass1 = _mean(bench_pass1)
+        groups = [bench_values[b] for b in sorted(bench_values)]
     else:
-        task_curves = [curve(o) for o in outs]
-        overall = PassKCurve(
-            ks=ks,
-            values=tuple(
-                _mean([cu.values[i] for cu in task_curves]) for i in range(len(ks))
-            ),
-        )
-        pass1 = _mean([pass_at_k(o.n, o.c, 1) for o in outs])
-
-    if 1 in ks:
-        # bitwise identity between the two computation paths
-        pass1 = overall.value_at(1)
+        groups = [mean_curve(outs)]
+    overall = [_mean(column) for column in zip(*groups)]
     return CheckpointMetrics(
         checkpoint_id=checkpoint_ids[0],
-        pass1=pass1,
-        passk=overall,
-        per_benchmark=per_benchmark,
+        pass1=overall[0],
+        passk=PassKCurve(ks=ks, values=tuple(overall[drop:])),
+        per_benchmark={
+            bench: PassKCurve(ks=ks, values=tuple(values[drop:]))
+            for bench, values in bench_values.items()
+        },
     )
 
 

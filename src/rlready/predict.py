@@ -7,7 +7,8 @@ to known post-RL Pass@1 on the few calibrated checkpoints, then predict for
 everyone, calibrated ones included so residuals stay inspectable. A
 composite metric (avg:passk:K+genloss) fits one line per component and
 predicts the mean of their predictions; averaging is the only way metrics
-are combined.
+are combined, and its one implementation is stats.average_fit_predict,
+which the repeated-split evaluation calls too.
 
 Dominance requires at least one strict inequality, so exact duplicates
 survive together; ruling one of them out would be arbitrary.
@@ -15,11 +16,12 @@ survive together; ruling one of them out would be arbitrary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .passk import CheckpointMetrics
-from .stats import LabeledPoint, fit_linear
+from .stats import average_fit_predict
 
 METRIC_GRAMMAR = "pass1 | passk:K | genloss | avg:passk:K+genloss"
 
@@ -81,6 +83,12 @@ def _dominator_key(c: Candidate) -> tuple[float, float, str]:
     return (c.gen_loss, -c.pass1, c.checkpoint_id)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # a NaN margin would compare false everywhere and rule nothing out
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
+
+
 def pareto_rule_out(
     candidates: Sequence[Candidate],
     epsilon: float = 0.0,
@@ -98,8 +106,7 @@ def pareto_rule_out(
     that is least by (gen_loss, -pass1, checkpoint_id).
     """
     _check_unique(candidates)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     missing = sorted(c.checkpoint_id for c in candidates if c.gen_loss is None)
     if missing:
         raise ValueError(f"candidates missing gen_loss: {', '.join(missing)}")
@@ -148,6 +155,7 @@ def rank_candidates(
         survivors, ruled = pareto_rule_out(candidates, epsilon=epsilon)
     else:
         _check_unique(candidates)
+        _check_epsilon(epsilon)  # unused, but recorded in the report
         survivors, ruled = list(candidates), []
     return RankingReport(
         ruled_out=tuple(ruled),
@@ -215,27 +223,20 @@ def calibrate_and_predict(
     """Fit metric -> post-RL Pass@1 on the labeled candidates, predict for all.
 
     metric follows parse_metric's grammar. A multi-component metric is the
-    averaged composite: each component gets its own line, fitted on the
-    labeled candidates, and a candidate's prediction is the mean of those
-    lines' predictions. Predictions are returned for every candidate, labeled
-    ones included.
+    averaged composite of stats.average_fit_predict: each component gets its
+    own line, fitted on the labeled candidates, and a candidate's prediction
+    is the mean of those lines' predictions. Predictions are returned for
+    every candidate, labeled ones included.
     """
     _check_unique(candidates)
     components = parse_metric(metric)
-    labeled = [c for c in candidates if c.post_rl_pass1 is not None]
-    if len(labeled) < 2:
+    fit_rows = [i for i, c in enumerate(candidates) if c.post_rl_pass1 is not None]
+    if len(fit_rows) < 2:
         raise ValueError(
-            f"need >= 2 candidates with known post_rl_pass1 to calibrate, got {len(labeled)}"
+            f"need >= 2 candidates with known post_rl_pass1 to calibrate, got {len(fit_rows)}"
         )
-    fits = []
-    for comp in components:
-        points = [
-            LabeledPoint(c.checkpoint_id, component_value(c, comp), c.post_rl_pass1)
-            for c in labeled
-        ]
-        fits.append((comp, fit_linear(points)))
-    return {
-        c.checkpoint_id: sum(fit.predict(component_value(c, comp)) for comp, fit in fits)
-        / len(fits)
-        for c in candidates
-    }
+    columns = [[component_value(c, comp) for c in candidates] for comp in components]
+    predictions = average_fit_predict(
+        columns, [c.post_rl_pass1 for c in candidates], fit_rows, range(len(candidates))
+    )
+    return {c.checkpoint_id: p for c, p in zip(candidates, predictions)}

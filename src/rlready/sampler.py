@@ -34,6 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from urllib.parse import SplitResult, urlsplit
 
@@ -181,22 +182,16 @@ def _fetch_one(
     job: SamplingJob,
     target: str,
     headers: dict,
+    template_body: dict,
     task: SamplingTask,
-    index: int,
-) -> tuple[int, str, str | None]:
-    """One completion request with retry; returns (index, text, finish_reason).
+) -> tuple[str, str | None]:
+    """One completion request with retry; returns (text, finish_reason).
 
+    The body is the recorded request template's, with the task's prompt.
     Posts through local.conn, the calling worker thread's own keep-alive
     connection. Only a transport error closes it; the next request reopens it.
     """
-    prompt = task.problem + "\n" + job.prompt_suffix
-    payload = {
-        "model": job.model_name,
-        "prompt": prompt,
-        "temperature": job.temperature,
-        "max_tokens": job.max_tokens,
-        "n": 1,
-    }
+    payload = dict(template_body, prompt=task.problem + "\n" + job.prompt_suffix)
     body = json.dumps(payload).encode()
     last_error: Exception | None = None
     retry_after = 0.0
@@ -220,7 +215,7 @@ def _fetch_one(
             continue
         try:
             choice = json.loads(data)["choices"][0]
-            return index, choice["text"], choice.get("finish_reason")
+            return choice["text"], choice.get("finish_reason")
         except (ValueError, LookupError, TypeError, AttributeError) as exc:  # malformed bodies
             last_error = exc
     raise RuntimeError(f"retries exhausted: {last_error}")
@@ -275,23 +270,21 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
     with connections, ThreadPoolExecutor(
         max_workers=job.max_concurrency, initializer=open_connection
     ) as pool:
-        future_unit = {
-            pool.submit(_fetch_one, local, job, target, headers, task, index): (task, index)
-            for task, index in units
-        }
+        fetch = partial(_fetch_one, local, job, target, headers, template["body"])
+        future_unit = {pool.submit(fetch, task): (task, index) for task, index in units}
         try:
             for future in as_completed(future_unit):
                 task, index = future_unit.pop(future)  # the result is freed once stored
                 key = (task.benchmark_id, task.task_id)
                 state = states[key]
                 try:
-                    idx, text, finish = future.result()
+                    text, finish = future.result()
                     state.results.append(
                         Sample(
                             checkpoint_id=checkpoint,
                             benchmark_id=task.benchmark_id,
                             task_id=task.task_id,
-                            sample_index=idx,
+                            sample_index=index,
                             text=text,
                             finish_reason=finish,
                         )

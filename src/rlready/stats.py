@@ -9,6 +9,11 @@ R-squared here is prediction quality on held-out points, 1 - SS_res/SS_tot
 around the holdout mean. It can be negative (a fit worse than predicting the
 mean) and is reported as-is; clamping would hide exactly the failures this
 protocol exists to expose.
+
+The averaged composite predictor (one line per metric, predictions
+averaged) is average_fit_predict; the split protocol scores it on each
+repeat's holdout, and predict.calibrate_and_predict fits it on every
+labeled checkpoint. Lines and R² share one degeneracy rule, _spread.
 """
 
 from __future__ import annotations
@@ -52,10 +57,10 @@ class EvalProtocolResult:
     """Repeated-split R² summary.
 
     per_repeat_r2 holds one value per non-degenerate repeat; degenerate draws
-    (constant x in the fit set or constant y in the holdout) are counted in
-    skipped rather than silently folded into the mean. dispersion is the
-    sample standard deviation across kept repeats, stderr its /sqrt(m)
-    companion; tables usually quote the former.
+    (some metric's fit-set x values or the holdout labels do not vary, by the
+    rule of _spread) are counted in skipped rather than silently folded into
+    the mean. dispersion is the sample standard deviation across kept
+    repeats, stderr its /sqrt(m) companion; tables usually quote the former.
     """
 
     per_repeat_r2: tuple[float, ...]
@@ -69,40 +74,72 @@ class EvalProtocolResult:
     seed: int
 
 
-def fit_linear(points: Sequence[LabeledPoint]) -> LinearFit:
-    """Ordinary least squares y = slope*x + intercept.
+def _spread(values: Sequence[float]) -> tuple[float, float]:
+    """(mean, sum of squared deviations from it) of values.
 
-    Needs at least two points and at least two distinct x values.
+    The sum is 0.0 whenever fewer than two values differ, so a sum of 0.0 is
+    the one test for "cannot vary", which also catches distinct values whose
+    squared deviations underflow.
     """
-    if len(points) < 2:
-        raise ValueError(f"need >= 2 points to fit a line, got {len(points)}")
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    x_mean = sum(xs) / len(xs)
-    y_mean = sum(ys) / len(ys)
-    sxx = sum((x - x_mean) ** 2 for x in xs)
+    mean = sum(values) / len(values)
+    if len(set(values)) < 2:
+        return mean, 0.0
+    return mean, sum((v - mean) ** 2 for v in values)
+
+
+def _line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    # the OLS core on plain floats: (slope, intercept) of ys on xs
+    if len(xs) < 2:
+        raise ValueError(f"need >= 2 points to fit a line, got {len(xs)}")
+    x_mean, sxx = _spread(xs)
     if sxx == 0.0:
-        raise ValueError(
-            f"degenerate fit: all {len(points)} points share x={xs[0]}"
-        )
+        raise ValueError(f"degenerate fit: all {len(xs)} points share x={xs[0]}, or nearly")
+    y_mean = sum(ys) / len(ys)
     sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
-    return LinearFit(slope=slope, intercept=y_mean - slope * x_mean)
+    intercept = y_mean - slope * x_mean
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError(f"non-finite fit: slope={slope}, intercept={intercept}")
+    return slope, intercept
+
+
+def fit_linear(points: Sequence[LabeledPoint]) -> LinearFit:
+    """Ordinary least squares y = slope*x + intercept; the x values must vary."""
+    return LinearFit(*_line([p.x for p in points], [p.y for p in points]))
+
+
+def average_fit_predict(
+    columns: Sequence[Sequence[float]],
+    ys: Sequence[float],
+    fit_rows: Sequence[int],
+    at_rows: Sequence[int],
+) -> list[float]:
+    """The averaged composite predictor, fitted on fit_rows, at each of at_rows.
+
+    Each x column gets its own OLS line of ys on its fit_rows values (ys is
+    read there only). A row's prediction sums the lines' predictions in
+    column order and divides once by their number, so one column predicts
+    exactly its own line. Raises ValueError if a column cannot be fitted.
+    """
+    fit_ys = [ys[i] for i in fit_rows]
+    sums = [0.0] * len(at_rows)
+    for xs in columns:
+        slope, intercept = _line([xs[i] for i in fit_rows], fit_ys)
+        sums = [s + (slope * xs[i] + intercept) for s, i in zip(sums, at_rows)]
+    return [s / len(columns) for s in sums]
 
 
 def r_squared(fit: LinearFit, holdout: Sequence[LabeledPoint]) -> float:
     """1 - SS_res/SS_tot of fit's predictions on held-out points.
 
-    May be negative; never clamped. Undefined (error) when all holdout labels
-    are identical, since SS_tot would be zero.
+    May be negative; never clamped. Undefined (error) when the holdout labels
+    do not vary (see _spread), since SS_tot would be zero.
     """
     if len(holdout) < 2:
         raise ValueError(f"need >= 2 holdout points, got {len(holdout)}")
-    ys = [p.y for p in holdout]
-    y_mean = sum(ys) / len(ys)
-    ss_tot = sum((y - y_mean) ** 2 for y in ys)
+    _, ss_tot = _spread([p.y for p in holdout])
     if ss_tot == 0.0:
-        raise ValueError(f"all {len(holdout)} holdout labels equal {ys[0]}; R² undefined")
+        raise ValueError(f"the {len(holdout)} holdout labels do not vary; R² undefined")
     ss_res = sum((p.y - fit.predict(p.x)) ** 2 for p in holdout)
     return 1.0 - ss_res / ss_tot
 
@@ -156,42 +193,19 @@ def _repeat_rng(seed: int, repeat_index: int) -> random.Random:
     return random.Random(f"{seed}:{repeat_index}")
 
 
-def _stratified_indices(
-    rng: random.Random,
-    groups: Sequence[tuple[str, list[int]]],
-    n_fit: int,
-    total: int,
-) -> list[int]:
-    # largest-remainder allocation of n_fit across groups, proportional to size
-    quotas = []
-    for name, members in groups:
-        exact = n_fit * len(members) / total
-        quotas.append([name, members, int(exact), exact - int(exact)])
-    short = n_fit - sum(q[2] for q in quotas)
-    for q in sorted(quotas, key=lambda q: (-q[3], q[0]))[:short]:
-        q[2] += 1
-    picked: list[int] = []
-    for _, members, quota, _ in quotas:
-        picked.extend(rng.sample(members, quota))
-    return picked
-
-
 def repeated_split_eval(
     points: Sequence[LabeledPoint],
     n_fit: int,
     repeats: int,
     seed: int,
-    stratify_by: Mapping[str, str] | None = None,
 ) -> EvalProtocolResult:
     """Repeat: fit on a random n_fit subset, score R² on the remainder.
 
     The draw sequence is a pure function of (points order, n_fit, repeats,
     seed); callers who want order-independence should sort points by
-    checkpoint_id first (the CLI does). stratify_by optionally maps
-    checkpoint_id to a group label and makes each draw proportional per
-    group.
+    checkpoint_id first (the CLI does).
     """
-    return _split_eval([list(points)], n_fit, repeats, seed, stratify_by)
+    return _split_eval([list(points)], n_fit, repeats, seed)
 
 
 def repeated_split_eval_combined(
@@ -219,7 +233,7 @@ def repeated_split_eval_combined(
                 f"metric {name!r} points are not aligned with {names[0]!r} "
                 "(checkpoints, order and labels must match)"
             )
-    return _split_eval(lists, n_fit, repeats, seed, None)
+    return _split_eval(lists, n_fit, repeats, seed)
 
 
 def _split_eval(
@@ -227,10 +241,9 @@ def _split_eval(
     n_fit: int,
     repeats: int,
     seed: int,
-    stratify_by: Mapping[str, str] | None,
 ) -> EvalProtocolResult:
-    # lists are aligned point lists, one per metric; the predictor is the mean
-    # of each metric's fit, so a single list is the plain one-metric protocol
+    # lists are aligned point lists, one per metric; the predictor averages
+    # their lines, so a single list is the plain one-metric protocol
     m = len(lists[0])
     if m < 4:
         raise ValueError(f"need >= 4 labeled points for a fit/validation split, got {m}")
@@ -239,39 +252,21 @@ def _split_eval(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
-    groups: list[tuple[str, list[int]]] | None = None
-    if stratify_by is not None:
-        by_group: dict[str, list[int]] = {}
-        for i, p in enumerate(lists[0]):
-            if p.checkpoint_id not in stratify_by:
-                raise ValueError(f"checkpoint {p.checkpoint_id!r} missing from stratify_by")
-            by_group.setdefault(stratify_by[p.checkpoint_id], []).append(i)
-        groups = sorted(by_group.items())
-
     ys = [p.y for p in lists[0]]
-    n_metrics = len(lists)
+    columns = [[p.x for p in lst] for lst in lists]
 
     def one_repeat(r: int) -> float | None:
-        rng = _repeat_rng(seed, r)
-        if groups is None:
-            fit_idx = set(rng.sample(range(m), n_fit))
-        else:
-            fit_idx = set(_stratified_indices(rng, groups, n_fit, m))
+        fit_idx = set(_repeat_rng(seed, r).sample(range(m), n_fit))
         holdout_idx = [i for i in range(m) if i not in fit_idx]
         y_true = [ys[i] for i in holdout_idx]
-        if len(set(y_true)) == 1:
+        _, ss_tot = _spread(y_true)
+        if ss_tot == 0.0:
             return None
-        fit_order = sorted(fit_idx)
-        preds = [0.0] * len(holdout_idx)
-        for lst in lists:
-            fit_points = [lst[i] for i in fit_order]
-            if len({p.x for p in fit_points}) == 1:
-                return None
-            fit = fit_linear(fit_points)
-            preds = [p + fit.predict(lst[i].x) for p, i in zip(preds, holdout_idx)]
-        y_mean = sum(y_true) / len(y_true)
-        ss_tot = sum((y - y_mean) ** 2 for y in y_true)
-        ss_res = sum((y - p / n_metrics) ** 2 for y, p in zip(y_true, preds))
+        try:
+            preds = average_fit_predict(columns, ys, sorted(fit_idx), holdout_idx)
+        except ValueError:  # some metric's fit values admit no finite line
+            return None
+        ss_res = sum((y - p) ** 2 for y, p in zip(y_true, preds))
         return 1.0 - ss_res / ss_tot
 
     kept = tuple(v for v in map(one_repeat, range(repeats)) if v is not None)

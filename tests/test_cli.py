@@ -165,6 +165,8 @@ MALFORMED_LINES = {
     "infinite x": ("points", ['{"checkpoint_id": "a", "x": Infinity, "y": 0.2}'],
                    ["line 1", "'x'", "finite"]),
     "duplicate checkpoint": ("points", [POINT, POINT], ["line 2", "line 1"]),
+    "constant x": ("points", [{**POINT, "checkpoint_id": f"c{i}", "y": i / 4} for i in range(3)],
+                   ["degenerate fit", "x=0.1"]),
     "no points": ("points", [], ["no points"]),
     "huge nll_sum": ("genloss", [LOSS, json.dumps(LOSS).replace("2.5", HUGE)],
                      ["line 2", "'nll_sum'", "finite"]),
@@ -227,6 +229,51 @@ def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
     for part in named:
         assert part in err[0], err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("with_genloss", [True, False])
+def test_rank_epsilon_not_finite_or_negative_exits_one(inputs, epsilon, with_genloss, capsys):
+    out = inputs["dir"] / "rank.json"
+    argv = ["rank", "--metrics", str(inputs["metrics"]), "--k", str(K),
+            "--epsilon", epsilon, "--out", str(out)]
+    if with_genloss:
+        argv += ["--genloss", str(inputs["genloss"])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: validation: "), err
+    assert "epsilon" in err[0]
+    assert not out.exists()
+
+
+def test_evaluate_labels_whose_spread_underflows_exit_one(inputs, capsys):
+    # 0 and 1e-200 differ, but every holdout's sum of squares underflows to 0.0
+    inputs["labels"].write_text(
+        "".join(
+            json.dumps({"checkpoint_id": c, "post_rl_pass1": 1e-200 * (i % 2)}) + "\n"
+            for i, c in enumerate(LABELED)
+        ),
+        encoding="utf-8",
+    )
+    argv = ["evaluate", "--metrics", str(inputs["metrics"]), "--labels", str(inputs["labels"]),
+            "--n-fit", "3", "--repeats", "20", "--seed", "0", "--k", str(K),
+            "--out", str(inputs["dir"] / "evaluate.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: validation: all 20 repeats drew degenerate splits"]
+
+
+def test_plot_of_constant_labels_draws_no_r_squared(inputs):
+    points = inputs["dir"] / "points.jsonl"
+    points.write_text(
+        "".join(json.dumps({"checkpoint_id": f"c{i}", "x": i / 4, "y": 0.1}) + "\n"
+                for i in range(3)),
+        encoding="utf-8",
+    )
+    out = inputs["dir"] / "plot.svg"
+    assert main(["plot", "--points", str(points), "--out", str(out)]) == 0
+    svg = out.read_text(encoding="utf-8")
+    assert 'stroke="#d62728"' in svg and "R&#178;" not in svg  # a fit line, no R²
 
 
 @pytest.mark.parametrize(

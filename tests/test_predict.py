@@ -124,6 +124,12 @@ class TestParetoRuleOut:
         survivors, ruled = pareto_rule_out([a, b], epsilon=0.05)
         assert len(survivors) == 2 and ruled == []
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.01])
+    def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        cands = [make_candidate("A", 0.3, gen_loss=1.0), make_candidate("B", 0.4, gen_loss=0.9)]
+        with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+            pareto_rule_out(cands, epsilon=epsilon)
+
     def test_missing_gen_loss_listed(self):
         a = make_candidate("A", 0.3, gen_loss=1.0)
         b = make_candidate("B", 0.4)

@@ -311,6 +311,24 @@ class TestSampleCompletions:
         assert template["body"]["temperature"] == 1.0
         assert template["url"].endswith("/v1/completions")
 
+    def test_every_body_sent_is_the_recorded_template(self, tmp_path):
+        bodies = []
+
+        def record(request_no, body):
+            bodies.append(body)
+            return "fail" if request_no == 2 else "ok"  # a retried body too
+
+        with run_server(behavior=record) as server:
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url, n_tasks=2, n=2, prompt_suffix="SUFFIX",
+                           temperature=0.7, max_tokens=123)
+            sample_completions(job, store)
+        template = store.metadata["request_template"]["body"]
+        sent = [dict(template, prompt=f"problem {i}\nSUFFIX") for i in range(2)]
+        assert len(bodies) == 5  # 4 samples and 1 retry
+        assert all(body in sent for body in bodies)
+        assert [list(body) for body in bodies] == [list(template)] * 5  # key order too
+
     def test_unreachable_endpoint(self, tmp_path):
         store = RecordStore(tmp_path / "store")
         job = make_job(

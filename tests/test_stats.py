@@ -1,11 +1,15 @@
 import math
 import random
+import sys
 
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_stats
+from rlready.passk import CheckpointMetrics, PassKCurve
+from rlready.predict import Candidate, calibrate_and_predict, component_value, parse_metric
 from rlready.stats import (
     EvalProtocolResult,
     LabeledPoint,
@@ -72,6 +76,16 @@ class TestFitLinear:
         with pytest.raises(ValueError, match="share x=2"):
             fit_linear(pts((2, 1), (2, 3)))
 
+    def test_constant_x_with_rounding_spread_rejected(self):
+        # the mean of three 0.1s is not 0.1, so the raw sum of squares is not 0.0
+        assert sum((0.1 - sum([0.1] * 3) / 3) ** 2 for _ in range(3)) > 0.0
+        with pytest.raises(ValueError, match="share x=0.1"):
+            fit_linear(pts((0.1, 0.2), (0.1, 0.5), (0.1, 0.3)))
+
+    def test_distinct_x_whose_spread_underflows_rejected(self):
+        with pytest.raises(ValueError, match="share x=0.0, or nearly"):
+            fit_linear(pts((0.0, 0.2), (1e-200, 0.5)))
+
 
 class TestRSquared:
     def test_perfect_fit(self):
@@ -101,6 +115,14 @@ class TestRSquared:
     def test_constant_labels_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
             r_squared(LinearFit(1.0, 0.0), pts((0, 2), (1, 2)))
+
+    def test_constant_labels_with_rounding_spread_rejected(self):
+        with pytest.raises(ValueError, match="undefined"):
+            r_squared(LinearFit(0.0, 0.1), pts((0, 0.1), (1, 0.1), (2, 0.1)))
+
+    def test_distinct_labels_whose_spread_underflows_rejected(self):
+        with pytest.raises(ValueError, match="undefined"):
+            r_squared(LinearFit(0.0, 0.0), pts((0, 0.0), (1, 1e-200), (2, 0.0)))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 2 holdout"):
@@ -220,14 +242,16 @@ class TestRepeatedSplitEval:
         assert res.skipped > 0
         assert len(res.per_repeat_r2) == 200 - res.skipped
 
-    def test_stratified_draw_respects_groups(self):
-        points = self._noisy_points(16)
-        groups = {p.checkpoint_id: ("even" if i % 2 == 0 else "odd") for i, p in enumerate(points)}
-        res = repeated_split_eval(points, n_fit=8, repeats=20, seed=4, stratify_by=groups)
-        assert res.repeats == 20
-        # each stratified draw takes 4 from each 8-member group; spot-check determinism
-        again = repeated_split_eval(points, n_fit=8, repeats=20, seed=4, stratify_by=groups)
-        assert res == again
+    def test_holdouts_whose_spread_underflows_skipped(self):
+        points = [LabeledPoint(f"m{i}", i / 8, 1e-200 * (i % 2)) for i in range(8)]
+        with pytest.raises(ValueError, match="all 30 repeats drew degenerate splits"):
+            repeated_split_eval(points, n_fit=4, repeats=30, seed=0)
+
+    def test_fit_sets_whose_x_spread_underflows_skipped(self):
+        points = [LabeledPoint(f"m{i}", 1e-200 * (i % 2) + (i >= 6), i / 8) for i in range(8)]
+        res = repeated_split_eval(points, n_fit=3, repeats=200, seed=0)
+        assert 0 < res.skipped < 200
+        assert all(math.isfinite(v) for v in res.per_repeat_r2)
 
     def test_errors(self):
         points = self._noisy_points(3)
@@ -272,3 +296,95 @@ def test_point_validation():
         LabeledPoint("m", float("nan"), 0.0)
     with pytest.raises(ValueError, match="non-finite"):
         LinearFit(float("inf"), 0.0)
+
+
+# ------------------------------------------- differential test of the composite
+
+# values stay clear of underflow, where the new degeneracy rule skips or
+# rejects on purpose and the old code divided by zero, and of x spreads so
+# tiny that a slope near 1e100 overflows the R² dispersion in both
+_VALUE = st.floats(min_value=0.0, max_value=1.0).filter(lambda v: v == 0.0 or v > 1e-6)
+
+
+def _varying_column(m):
+    return st.lists(_VALUE, min_size=m, max_size=m).filter(lambda col: len(set(col)) > 1)
+
+
+@st.composite
+def _split_cases(draw):
+    m = draw(st.integers(4, 10))
+    # few distinct labels and x values, so that some draws are degenerate
+    pool = draw(st.lists(_VALUE, min_size=2, max_size=4, unique=True))
+    ys = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    columns = draw(st.lists(_varying_column(m), min_size=1, max_size=3))
+    n_fit = draw(st.integers(2, m - 2))
+    return ys, columns, n_fit, draw(st.integers(0, 2**31))
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_split_eval_matches_the_reference_bitwise(case):
+    ys, columns, n_fit, seed = case
+    lists = [
+        [LabeledPoint(f"m{i}", x, y) for i, (x, y) in enumerate(zip(col, ys))]
+        for col in columns
+    ]
+    if len(lists) == 1:
+        run = lambda: repeated_split_eval(lists[0], n_fit, 25, seed)  # noqa: E731
+    else:
+        # the combined protocol takes the metrics in sorted-name order
+        run = lambda: repeated_split_eval_combined(  # noqa: E731
+            {f"metric{j}": lst for j, lst in enumerate(lists)}, n_fit, 25, seed
+        )
+    try:
+        want = reference_stats._split_eval(lists, n_fit, 25, seed, None)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            run()
+        return
+    got = run()
+    assert _bits(got.per_repeat_r2) == _bits(want.per_repeat_r2)
+    assert got == want
+
+
+@st.composite
+def _calibration_cases(draw):
+    m = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.none() | _VALUE, min_size=m, max_size=m))
+    labeled = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True))
+    for i in labeled:
+        if labels[i] is None:
+            labels[i] = draw(_VALUE)
+    rows = [(draw(_VALUE), draw(_VALUE), draw(_VALUE) * 3) for _ in range(m)]
+    # components: pass1, passk:64, genloss; three of them where order matters
+    names = draw(st.lists(st.sampled_from(["pass1", "passk:64", "genloss"]),
+                          min_size=1, max_size=3))
+    metric = names[0] if len(names) == 1 else "avg:" + "+".join(names)
+    return labels, rows, metric
+
+
+@settings(max_examples=300, deadline=None)
+@given(_calibration_cases())
+def test_calibrate_and_predict_matches_the_reference_bitwise(case):
+    labels, rows, metric = case
+    candidates = [
+        Candidate(f"c{i}", CheckpointMetrics(f"c{i}", pass1, PassKCurve((1, 64), (pass1, pass64)),
+                                             gen_loss=loss), post_rl_pass1=label)
+        for i, ((pass1, pass64, loss), label) in enumerate(zip(rows, labels))
+    ]
+    labeled = [c for c in candidates if c.post_rl_pass1 is not None]
+    # from Python 3.12 the builtin sum that the reference adds components with
+    # is compensated, so for three or more it parts from the split core's
+    # left-to-right sum, which the shared function keeps
+    assume(sys.version_info < (3, 12) or len(parse_metric(metric)) < 3)
+    for comp in parse_metric(metric):
+        # no constant x column among the labeled candidates
+        assume(len({component_value(c, comp) for c in labeled}) > 1)
+    got = calibrate_and_predict(candidates, metric)
+    want = reference_stats.calibrate_and_predict(candidates, metric)
+    assert list(got) == list(want)
+    assert _bits(got.values()) == _bits(want.values())
