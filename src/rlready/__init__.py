@@ -9,7 +9,6 @@ from .curate import CurationSpec, SftExample, measure_lengths, select, split_val
 from .passk import CheckpointMetrics, PassKCurve, TaskOutcome, aggregate, pass_at_k, pass_curve
 from .plotting import plot_scatter
 from .predict import (
-    Candidate,
     RankingReport,
     calibrate_and_predict,
     pareto_rule_out,
@@ -55,7 +54,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Candidate",
     "CheckpointMetrics",
     "CurationSpec",
     "EvalProtocolResult",

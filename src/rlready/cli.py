@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +25,6 @@ from .curate import CurationSpec, measure_lengths, select, split_validation
 from .passk import CheckpointMetrics, PassKCurve, aggregate
 from .plotting import plot_scatter
 from .predict import (
-    Candidate,
     calibrate_and_predict,
     component_name,
     component_value,
@@ -174,32 +173,16 @@ def _load_genloss_scalars(path: Path) -> dict[str, float]:
     return scalars
 
 
-def _build_candidates(
-    metrics_path: Path,
-    genloss_path: Path | None,
-    labels_path: Path | None,
-) -> list[Candidate]:
+def _read_checkpoints(metrics_path: Path, genloss_path: Path | None) -> list[CheckpointMetrics]:
+    """The metrics CSV's checkpoints sorted by id, each with its gen_loss if
+    the genloss report names it."""
     metrics = _read_metrics_csv(metrics_path)
     gen_loss = _load_genloss_scalars(genloss_path) if genloss_path else {}
-    labels = {}
-    if labels_path is not None:
-        labels = {rec.checkpoint_id: rec.post_rl_pass1 for rec in load("labels", labels_path)}
-        unknown = sorted(set(labels) - {m.checkpoint_id for m in metrics})
-        if unknown:
-            raise ValueError(f"labels name unknown checkpoints: {', '.join(unknown)}")
-    candidates = []
-    for m in metrics:
-        if m.checkpoint_id in gen_loss:
-            m = CheckpointMetrics(
-                checkpoint_id=m.checkpoint_id,
-                pass1=m.pass1,
-                passk=m.passk,
-                gen_loss=gen_loss[m.checkpoint_id],
-            )
-        candidates.append(
-            Candidate(m.checkpoint_id, m, post_rl_pass1=labels.get(m.checkpoint_id))
-        )
-    return sorted(candidates, key=lambda c: c.checkpoint_id)
+    checkpoints = [
+        replace(m, gen_loss=gen_loss[m.checkpoint_id]) if m.checkpoint_id in gen_loss else m
+        for m in metrics
+    ]
+    return sorted(checkpoints, key=lambda m: m.checkpoint_id)
 
 
 # ------------------------------------------------------------------- commands
@@ -297,12 +280,12 @@ def cmd_genloss(args) -> None:
 
 def cmd_rank(args) -> None:
     genloss_path = Path(args.genloss) if args.genloss else None
-    candidates = _build_candidates(Path(args.metrics), genloss_path, None)
+    checkpoints = _read_checkpoints(Path(args.metrics), genloss_path)
     inputs = {"metrics": Path(args.metrics)}
     if genloss_path:
         inputs["genloss"] = genloss_path
     report = rank_candidates(
-        candidates, k=args.k, rule_out=genloss_path is not None, epsilon=args.epsilon
+        checkpoints, k=args.k, rule_out=genloss_path is not None, epsilon=args.epsilon
     )
     payload = {
         "metadata": _metadata("rank", inputs, k_used=args.k, epsilon=args.epsilon),
@@ -324,13 +307,10 @@ def cmd_rank(args) -> None:
 def cmd_predict(args) -> None:
     parse_metric(args.metric)  # fail fast on a bad spec
     genloss_path = Path(args.genloss) if args.genloss else None
-    candidates = _build_candidates(Path(args.metrics), genloss_path, Path(args.labels))
-    predictions = calibrate_and_predict(candidates, args.metric)
-    residuals = {
-        c.checkpoint_id: c.post_rl_pass1 - predictions[c.checkpoint_id]
-        for c in candidates
-        if c.post_rl_pass1 is not None
-    }
+    checkpoints = _read_checkpoints(Path(args.metrics), genloss_path)
+    labels = {rec.checkpoint_id: rec.post_rl_pass1 for rec in load("labels", args.labels)}
+    predictions = calibrate_and_predict(checkpoints, labels, args.metric)
+    residuals = {ckpt: label - predictions[ckpt] for ckpt, label in labels.items()}
     inputs = {"metrics": Path(args.metrics), "labels": Path(args.labels)}
     if genloss_path:
         inputs["genloss"] = genloss_path
@@ -346,24 +326,25 @@ def cmd_predict(args) -> None:
 
 def cmd_evaluate(args) -> None:
     genloss_path = Path(args.genloss) if args.genloss else None
-    candidates = _build_candidates(Path(args.metrics), genloss_path, Path(args.labels))
-    labeled = [c for c in candidates if c.post_rl_pass1 is not None]
+    checkpoints = _read_checkpoints(Path(args.metrics), genloss_path)
+    labels = {rec.checkpoint_id: rec.post_rl_pass1 for rec in load("labels", args.labels)}
+    # sorted by id, as the split protocol's input order contract asks
+    labeled = [m for m in checkpoints if m.checkpoint_id in labels]
     if len(labeled) < 4:
         raise ValueError(f"need >= 4 labeled checkpoints to evaluate, got {len(labeled)}")
-    labeled.sort(key=lambda c: c.checkpoint_id)  # split protocol input order contract
 
     metric_names = ["pass1", f"passk:{args.k}"]
     if genloss_path is not None:
         metric_names += ["genloss", f"avg:passk:{args.k}+genloss"]
 
-    ys = [c.post_rl_pass1 for c in labeled]
+    ys = [labels[m.checkpoint_id] for m in labeled]
     results = {}
     for name in metric_names:
-        predictions = calibrate_and_predict(labeled, name)
+        predictions = calibrate_and_predict(labeled, labels, name)
         points = {
             component_name(comp): [
-                LabeledPoint(c.checkpoint_id, component_value(c, comp), c.post_rl_pass1)
-                for c in labeled
+                LabeledPoint(m.checkpoint_id, component_value(m, comp), y)
+                for m, y in zip(labeled, ys)
             ]
             for comp in parse_metric(name)
         }
@@ -373,7 +354,7 @@ def cmd_evaluate(args) -> None:
         else:
             protocol = repeated_split_eval_combined(points, args.n_fit, args.repeats, args.seed)
         results[name] = {
-            "spearman": spearman([predictions[c.checkpoint_id] for c in labeled], ys),
+            "spearman": spearman([predictions[m.checkpoint_id] for m in labeled], ys),
             "mean_r2": protocol.mean_r2,
             "sd_r2": protocol.dispersion,
             "stderr_r2": protocol.stderr,

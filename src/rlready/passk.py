@@ -79,8 +79,10 @@ class CheckpointMetrics:
     """Aggregated pre-RL metrics for one checkpoint.
 
     pass1 and passk are aggregated across benchmarks; per_benchmark holds the
-    per-benchmark curves they were built from. gen_loss is attached later by
-    the caller (it comes from a different data source than sampling outcomes).
+    per-benchmark curves they were built from. gen_loss comes from a
+    different data source than sampling outcomes, the genloss report, so
+    aggregate leaves it None; the CLI attaches it with dataclasses.replace
+    when it reads the metrics CSV, and the predict workflows read it here.
     """
 
     checkpoint_id: str

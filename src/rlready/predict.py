@@ -1,14 +1,18 @@
-"""Candidate-checkpoint workflows: Pareto rule-out, ranking, value prediction.
+"""Checkpoint-selection workflows: Pareto rule-out, ranking, value prediction.
+
+Every workflow takes the candidates as CheckpointMetrics, which carry the
+checkpoint id, Pass@1, the Pass@k curve and, once attached, gen_loss.
 
 Ranking: drop every checkpoint that another one beats on both axes (higher
 Pass@1, lower generalization loss, at least one strictly), then order the
 survivors by Pass@k at a large k. Value prediction: fit a line from a metric
-to known post-RL Pass@1 on the few calibrated checkpoints, then predict for
-everyone, calibrated ones included so residuals stay inspectable. A
-composite metric (avg:passk:K+genloss) fits one line per component and
-predicts the mean of their predictions; averaging is the only way metrics
-are combined, and its one implementation is stats.average_fit_predict,
-which the repeated-split evaluation calls too.
+to known post-RL Pass@1 on the few calibrated checkpoints, whose labels come
+as a map from checkpoint id to label, then predict for everyone, calibrated
+ones included so residuals stay inspectable. A composite metric
+(avg:passk:K+genloss) fits one line per component and predicts the mean of
+their predictions; averaging is the only way metrics are combined, and its
+one implementation is stats.average_fit_predict, which the repeated-split
+evaluation calls too.
 
 Dominance requires at least one strict inequality, so exact duplicates
 survive together; ruling one of them out would be arbitrary.
@@ -18,44 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .passk import CheckpointMetrics
 from .stats import average_fit_predict
 
 METRIC_GRAMMAR = "pass1 | passk:K | genloss | avg:passk:K+genloss"
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A checkpoint under consideration, with its pre-RL metrics.
-
-    post_rl_pass1 is set only for calibration checkpoints that were actually
-    trained through RL.
-    """
-
-    checkpoint_id: str
-    metrics: CheckpointMetrics
-    post_rl_pass1: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_id != self.metrics.checkpoint_id:
-            raise ValueError(
-                f"candidate id {self.checkpoint_id!r} does not match metrics id "
-                f"{self.metrics.checkpoint_id!r}"
-            )
-        if self.post_rl_pass1 is not None and not 0.0 <= self.post_rl_pass1 <= 1.0:
-            raise ValueError(
-                f"post_rl_pass1 must be in [0, 1], got {self.post_rl_pass1}"
-            )
-
-    @property
-    def pass1(self) -> float:
-        return self.metrics.pass1
-
-    @property
-    def gen_loss(self) -> float | None:
-        return self.metrics.gen_loss
 
 
 @dataclass(frozen=True)
@@ -67,7 +39,7 @@ class RankingReport:
     k_used: int
 
 
-def _check_unique(candidates: Sequence[Candidate]) -> None:
+def _check_unique(candidates: Sequence[CheckpointMetrics]) -> None:
     if not candidates:
         raise ValueError("no candidates given")
     seen: set[str] = set()
@@ -77,7 +49,7 @@ def _check_unique(candidates: Sequence[Candidate]) -> None:
         seen.add(c.checkpoint_id)
 
 
-def _dominator_key(c: Candidate) -> tuple[float, float, str]:
+def _dominator_key(c: CheckpointMetrics) -> tuple[float, float, str]:
     # preferred representative: lowest loss, then highest pass1, then id
     assert c.gen_loss is not None
     return (c.gen_loss, -c.pass1, c.checkpoint_id)
@@ -90,9 +62,9 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def pareto_rule_out(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[CheckpointMetrics],
     epsilon: float = 0.0,
-) -> tuple[list[Candidate], list[tuple[str, str]]]:
+) -> tuple[list[CheckpointMetrics], list[tuple[str, str]]]:
     """Partition candidates into (survivors, ruled_out) on (pass1, gen_loss).
 
     B dominates A iff B.pass1 >= A.pass1 + epsilon and
@@ -111,7 +83,7 @@ def pareto_rule_out(
     if missing:
         raise ValueError(f"candidates missing gen_loss: {', '.join(missing)}")
 
-    survivors: list[Candidate] = []
+    survivors: list[CheckpointMetrics] = []
     ruled: list[tuple[str, str]] = []
     for cand in candidates:
         dominators = [
@@ -131,13 +103,13 @@ def pareto_rule_out(
     return survivors, ruled
 
 
-def rank_by_passk(candidates: Sequence[Candidate], k: int) -> list[tuple[str, float]]:
-    """Candidates ordered by Pass@k descending, ties by checkpoint_id ascending."""
+def rank_by_passk(candidates: Sequence[CheckpointMetrics], k: int) -> list[tuple[str, float]]:
+    """Checkpoints ordered by Pass@k descending, ties by checkpoint_id ascending."""
     _check_unique(candidates)
     values = []
     for c in candidates:
         try:
-            values.append((c.checkpoint_id, c.metrics.passk.value_at(k)))
+            values.append((c.checkpoint_id, c.passk.value_at(k)))
         except ValueError as exc:
             raise ValueError(f"checkpoint {c.checkpoint_id!r}: {exc}") from None
     values.sort(key=lambda item: (-item[1], item[0]))
@@ -145,7 +117,7 @@ def rank_by_passk(candidates: Sequence[Candidate], k: int) -> list[tuple[str, fl
 
 
 def rank_candidates(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[CheckpointMetrics],
     k: int,
     rule_out: bool = True,
     epsilon: float = 0.0,
@@ -202,8 +174,8 @@ def component_name(comp: tuple) -> str:
     return f"passk:{comp[1]}" if comp[0] == "passk" else comp[0]
 
 
-def component_value(cand: Candidate, comp: tuple) -> float:
-    """The candidate's value for one parsed metric component."""
+def component_value(cand: CheckpointMetrics, comp: tuple) -> float:
+    """The checkpoint's value for one parsed metric component."""
     if comp[0] == "pass1":
         return cand.pass1
     if comp[0] == "genloss":
@@ -211,32 +183,40 @@ def component_value(cand: Candidate, comp: tuple) -> float:
             raise ValueError(f"checkpoint {cand.checkpoint_id!r} has no gen_loss")
         return cand.gen_loss
     try:
-        return cand.metrics.passk.value_at(comp[1])
+        return cand.passk.value_at(comp[1])
     except ValueError as exc:
         raise ValueError(f"checkpoint {cand.checkpoint_id!r}: {exc}") from None
 
 
 def calibrate_and_predict(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[CheckpointMetrics],
+    labels: Mapping[str, float],
     metric: str,
 ) -> dict[str, float]:
     """Fit metric -> post-RL Pass@1 on the labeled candidates, predict for all.
 
-    metric follows parse_metric's grammar. A multi-component metric is the
-    averaged composite of stats.average_fit_predict: each component gets its
-    own line, fitted on the labeled candidates, and a candidate's prediction
-    is the mean of those lines' predictions. Predictions are returned for
-    every candidate, labeled ones included.
+    labels maps checkpoint id -> known post-RL Pass@1, a value in [0, 1];
+    every id it names must be one of the candidates, and at least two must
+    be labeled. metric follows parse_metric's grammar. A multi-component
+    metric is the averaged composite of stats.average_fit_predict: each
+    component gets its own line, fitted on the labeled candidates, and a
+    candidate's prediction is the mean of those lines' predictions.
+    Predictions are returned for every candidate, labeled ones included.
     """
+    for value in labels.values():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"post_rl_pass1 must be in [0, 1], got {value}")
+    unknown = sorted(set(labels) - {c.checkpoint_id for c in candidates})
+    if unknown:
+        raise ValueError(f"labels name unknown checkpoints: {', '.join(unknown)}")
     _check_unique(candidates)
     components = parse_metric(metric)
-    fit_rows = [i for i, c in enumerate(candidates) if c.post_rl_pass1 is not None]
+    fit_rows = [i for i, c in enumerate(candidates) if c.checkpoint_id in labels]
     if len(fit_rows) < 2:
         raise ValueError(
             f"need >= 2 candidates with known post_rl_pass1 to calibrate, got {len(fit_rows)}"
         )
     columns = [[component_value(c, comp) for c in candidates] for comp in components]
-    predictions = average_fit_predict(
-        columns, [c.post_rl_pass1 for c in candidates], fit_rows, range(len(candidates))
-    )
+    ys = [labels.get(c.checkpoint_id) for c in candidates]
+    predictions = average_fit_predict(columns, ys, fit_rows, range(len(candidates)))
     return {c.checkpoint_id: p for c, p in zip(candidates, predictions)}

@@ -314,6 +314,30 @@ def file_sha256(path: str | Path) -> str:
     return _sha256_of(path).hexdigest()
 
 
+def _read_manifest(path: Path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    # the fields that count, append, verify and set_metadata read
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("records"), dict)
+        and isinstance(manifest.get("metadata"), dict)
+    ):
+        raise ValueError(f"{path}: expected an object whose 'records' and 'metadata' are objects")
+    for kind, entry in manifest["records"].items():
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("path"), str)
+            and entry.get("count").__class__ is int
+            and isinstance(entry.get("sha256"), str)
+        ):
+            raise ValueError(
+                f"{path}: records entry {kind!r} needs a string 'path', "
+                "an integer 'count' and a string 'sha256'"
+            )
+    return manifest
+
+
 class RecordStore:
     """Append-only JSONL store with a manifest of counts and content hashes.
 
@@ -338,8 +362,7 @@ class RecordStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._manifest_path = self.root / self.MANIFEST
         if self._manifest_path.exists():
-            with open(self._manifest_path, encoding="utf-8") as fh:
-                self._manifest = json.load(fh)
+            self._manifest = _read_manifest(self._manifest_path)
         else:
             self._manifest = {"records": {}, "metadata": {}}
         self._hashes: dict[str, Any] = {}  # kind -> running sha256 of its file

@@ -13,7 +13,9 @@ protocol exists to expose.
 The averaged composite predictor (one line per metric, predictions
 averaged) is average_fit_predict; the split protocol scores it on each
 repeat's holdout, and predict.calibrate_and_predict fits it on every
-labeled checkpoint. Lines and R² share one degeneracy rule, _spread.
+labeled checkpoint. Lines and R² share one degeneracy rule, _spread, and
+every sum of squared deviations is _sum_sq, which turns an overflow into a
+ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,17 @@ class EvalProtocolResult:
     seed: int
 
 
+def _sum_sq(deviations: Iterable[float]) -> float:
+    """Sum of the squared deviations; ValueError if it overflows the float range."""
+    try:
+        total = sum(d ** 2 for d in deviations)
+    except OverflowError:  # a float ** raises where * would give inf
+        total = math.inf
+    if math.isinf(total):
+        raise ValueError("sum of squared deviations overflows the float range")
+    return total
+
+
 def _spread(values: Sequence[float]) -> tuple[float, float]:
     """(mean, sum of squared deviations from it) of values.
 
@@ -84,7 +97,15 @@ def _spread(values: Sequence[float]) -> tuple[float, float]:
     mean = sum(values) / len(values)
     if len(set(values)) < 2:
         return mean, 0.0
-    return mean, sum((v - mean) ** 2 for v in values)
+    return mean, _sum_sq(v - mean for v in values)
+
+
+def _r2(ys: Sequence[float], preds: Iterable[float]) -> float | None:
+    """1 - SS_res/SS_tot of preds against ys, None if ys do not vary (see _spread)."""
+    _, ss_tot = _spread(ys)
+    if ss_tot == 0.0:
+        return None
+    return 1.0 - _sum_sq(y - p for y, p in zip(ys, preds)) / ss_tot
 
 
 def _line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -137,11 +158,10 @@ def r_squared(fit: LinearFit, holdout: Sequence[LabeledPoint]) -> float:
     """
     if len(holdout) < 2:
         raise ValueError(f"need >= 2 holdout points, got {len(holdout)}")
-    _, ss_tot = _spread([p.y for p in holdout])
-    if ss_tot == 0.0:
+    r2 = _r2([p.y for p in holdout], [fit.predict(p.x) for p in holdout])
+    if r2 is None:
         raise ValueError(f"the {len(holdout)} holdout labels do not vary; R² undefined")
-    ss_res = sum((p.y - fit.predict(p.x)) ** 2 for p in holdout)
-    return 1.0 - ss_res / ss_tot
+    return r2
 
 
 def _fractional_ranks(values: Sequence[float]) -> list[float]:
@@ -258,16 +278,11 @@ def _split_eval(
     def one_repeat(r: int) -> float | None:
         fit_idx = set(_repeat_rng(seed, r).sample(range(m), n_fit))
         holdout_idx = [i for i in range(m) if i not in fit_idx]
-        y_true = [ys[i] for i in holdout_idx]
-        _, ss_tot = _spread(y_true)
-        if ss_tot == 0.0:
-            return None
         try:
             preds = average_fit_predict(columns, ys, sorted(fit_idx), holdout_idx)
         except ValueError:  # some metric's fit values admit no finite line
             return None
-        ss_res = sum((y - p) ** 2 for y, p in zip(y_true, preds))
-        return 1.0 - ss_res / ss_tot
+        return _r2([ys[i] for i in holdout_idx], preds)
 
     kept = tuple(v for v in map(one_repeat, range(repeats)) if v is not None)
     skipped = repeats - len(kept)
@@ -275,7 +290,7 @@ def _split_eval(
         raise ValueError(f"all {repeats} repeats drew degenerate splits")
     mean = sum(kept) / len(kept)
     if len(kept) > 1:
-        sd = math.sqrt(sum((v - mean) ** 2 for v in kept) / (len(kept) - 1))
+        sd = math.sqrt(_sum_sq(v - mean for v in kept) / (len(kept) - 1))
     else:
         sd = 0.0
     return EvalProtocolResult(

@@ -4,17 +4,53 @@ The split-evaluation core (with the OLS fit it called) and
 predict.calibrate_and_predict each fitted one line per metric and averaged
 the predictions on their own. Kept verbatim as the oracle for the
 differential test in test_stats.py: the shared function must reproduce
-both, bit for bit.
+both, bit for bit. The Candidate wrapper and component_value that the old
+calibrate_and_predict read are kept here verbatim too, since predict now
+works on CheckpointMetrics and a labels map directly.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from rlready.predict import Candidate, _check_unique, component_value, parse_metric
+from rlready.passk import CheckpointMetrics
+from rlready.predict import _check_unique, parse_metric
 from rlready.stats import EvalProtocolResult, LabeledPoint, LinearFit, _repeat_rng
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A checkpoint under consideration, with its pre-RL metrics.
+
+    post_rl_pass1 is set only for calibration checkpoints that were actually
+    trained through RL.
+    """
+
+    checkpoint_id: str
+    metrics: CheckpointMetrics
+    post_rl_pass1: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_id != self.metrics.checkpoint_id:
+            raise ValueError(
+                f"candidate id {self.checkpoint_id!r} does not match metrics id "
+                f"{self.metrics.checkpoint_id!r}"
+            )
+        if self.post_rl_pass1 is not None and not 0.0 <= self.post_rl_pass1 <= 1.0:
+            raise ValueError(
+                f"post_rl_pass1 must be in [0, 1], got {self.post_rl_pass1}"
+            )
+
+    @property
+    def pass1(self) -> float:
+        return self.metrics.pass1
+
+    @property
+    def gen_loss(self) -> float | None:
+        return self.metrics.gen_loss
 
 
 def fit_linear(points: Sequence[LabeledPoint]) -> LinearFit:
@@ -130,6 +166,20 @@ def _split_eval(
         skipped=skipped,
         seed=seed,
     )
+
+
+def component_value(cand: Candidate, comp: tuple) -> float:
+    """The candidate's value for one parsed metric component."""
+    if comp[0] == "pass1":
+        return cand.pass1
+    if comp[0] == "genloss":
+        if cand.gen_loss is None:
+            raise ValueError(f"checkpoint {cand.checkpoint_id!r} has no gen_loss")
+        return cand.gen_loss
+    try:
+        return cand.metrics.passk.value_at(comp[1])
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {cand.checkpoint_id!r}: {exc}") from None
 
 
 def calibrate_and_predict(

@@ -178,6 +178,12 @@ MALFORMED_LINES = {
                           ["line 1", "'post_rl_pass1'", "finite"]),
     "huge post_rl_pass1": ("labels", ['{"checkpoint_id": "ckpt-a", "post_rl_pass1": %s}' % HUGE],
                            ["line 1", "'post_rl_pass1'", "finite"]),
+    "label of an unknown checkpoint": (
+        "labels",
+        [{"checkpoint_id": "ckpt-a", "post_rl_pass1": 0.2},
+         {"checkpoint_id": "ckpt-z", "post_rl_pass1": 0.3}],
+        ["labels name unknown checkpoints: ckpt-z"],
+    ),
 }
 # case -> (command, genloss report text, what the one error line must name)
 MALFORMED_GENLOSS_REPORTS = {
@@ -190,6 +196,13 @@ MALFORMED_GENLOSS_REPORTS = {
     "infinite gen_loss": ("predict", '{"gen_loss": {"ckpt-c": Infinity}}', ["'ckpt-c'"]),
     "huge gen_loss": ("predict", '{"gen_loss": {"ckpt-d": %s}}' % HUGE, ["'ckpt-d'"]),
     "null gen_loss": ("predict", '{"gen_loss": {"ckpt-e": null}}', ["'ckpt-e'"]),
+    # finite, but the squared deviations of 1e200 from the mean overflow
+    "overflowing gen_loss spread": (
+        "predict",
+        json.dumps({"gen_loss": {**dict.fromkeys(CHECKPOINTS, 1.0),
+                                 "ckpt-a": 0, "ckpt-b": 1e200, "ckpt-c": 2e200}}),
+        ["squared deviations overflows"],
+    ),
 }
 
 
@@ -263,6 +276,25 @@ def test_evaluate_labels_whose_spread_underflows_exit_one(inputs, capsys):
     assert err == ["error: validation: all 20 repeats drew degenerate splits"]
 
 
+@pytest.mark.parametrize(
+    "known,error",
+    [(LABELED, "labels name unknown checkpoints: ckpt-z"),
+     # the count of labeled checkpoints is checked before the label ids
+     (LABELED[:3], "need >= 4 labeled checkpoints to evaluate, got 3")],
+)
+def test_evaluate_labels_of_unknown_checkpoints_exit_one(inputs, known, error, capsys):
+    rows = [(c, CHECKPOINTS[c][3]) for c in known] + [("ckpt-z", 0.5)]
+    inputs["labels"].write_text(
+        "".join(json.dumps({"checkpoint_id": c, "post_rl_pass1": y}) + "\n" for c, y in rows),
+        encoding="utf-8",
+    )
+    argv = ["evaluate", "--metrics", str(inputs["metrics"]), "--labels", str(inputs["labels"]),
+            "--n-fit", "3", "--repeats", "5", "--seed", "0", "--out",
+            str(inputs["dir"] / "evaluate.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: validation: {error}"]
+
+
 def test_plot_of_constant_labels_draws_no_r_squared(inputs):
     points = inputs["dir"] / "points.jsonl"
     points.write_text(
@@ -301,6 +333,37 @@ def test_collect_config_of_wrong_type_or_range_exits_one_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
     assert key in err[0]
     assert not (d / "store").exists()
+
+
+ENTRY = {"path": "samples.jsonl", "count": 0, "sha256": "0" * 64}
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [[], {}, {"records": {}}, {"metadata": {}}, {"records": [], "metadata": {}},
+     {"records": {}, "metadata": []}, {"records": {"samples": []}, "metadata": {}},
+     *({"records": {"samples": {k: v for k, v in ENTRY.items() if k != key}}, "metadata": {}}
+       for key in ENTRY),
+     {"records": {"samples": {**ENTRY, "path": 5}}, "metadata": {}},
+     {"records": {"samples": {**ENTRY, "count": "0"}}, "metadata": {}},
+     {"records": {"samples": {**ENTRY, "count": True}}, "metadata": {}},
+     {"records": {"samples": {**ENTRY, "sha256": None}}, "metadata": {}}],
+)
+def test_collect_into_a_malformed_manifest_exits_one_with_one_error_line(
+    inputs, manifest, capsys
+):
+    d = inputs["dir"]
+    (d / "tasks.jsonl").write_text(json.dumps(TASK) + "\n", encoding="utf-8")
+    config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
+              "tasks_path": str(d / "tasks.jsonl"), "n": 1}
+    (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    (d / "store").mkdir()
+    (d / "store" / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: validation: "), err
+    assert str(d / "store" / "manifest.json") in err[0]
 
 
 # ---------------------------------------------------------- genloss streaming

@@ -5,7 +5,6 @@ import pytest
 
 from rlready.passk import CheckpointMetrics, PassKCurve
 from rlready.predict import (
-    Candidate,
     calibrate_and_predict,
     parse_metric,
     pareto_rule_out,
@@ -15,17 +14,16 @@ from rlready.predict import (
 from rlready.stats import LabeledPoint, fit_linear
 
 
-def make_candidate(ckpt, pass1, gen_loss=None, pass64=None, label=None):
+def make_candidate(ckpt, pass1, gen_loss=None, pass64=None):
     ks, values = (1,), (pass1,)
     if pass64 is not None:
         ks, values = (1, 64), (pass1, pass64)
-    metrics = CheckpointMetrics(
+    return CheckpointMetrics(
         checkpoint_id=ckpt,
         pass1=pass1,
         passk=PassKCurve(ks=ks, values=values),
         gen_loss=gen_loss,
     )
-    return Candidate(ckpt, metrics, post_rl_pass1=label)
 
 
 def dominance_oracle(candidates, epsilon=0.0):
@@ -194,106 +192,97 @@ class TestRankCandidates:
 
 class TestCalibrateAndPredict:
     def test_exact_line_predicts_unlabeled(self):
-        cands = [
-            make_candidate("a", 0.1, label=0.25),
-            make_candidate("b", 0.3, label=0.35),
-            make_candidate("c", 0.5, label=0.45),
-            make_candidate("d", 0.7),  # unlabeled: y = 0.5x + 0.2 -> 0.55
-        ]
-        preds = calibrate_and_predict(cands, "pass1")
+        cands = [make_candidate(c, x) for c, x in (("a", 0.1), ("b", 0.3), ("c", 0.5), ("d", 0.7))]
+        # d is unlabeled: y = 0.5x + 0.2 -> 0.55
+        preds = calibrate_and_predict(cands, {"a": 0.25, "b": 0.35, "c": 0.45}, "pass1")
         assert preds["d"] == pytest.approx(0.55, abs=1e-12)
         assert preds["a"] == pytest.approx(0.25, abs=1e-12)
 
     def test_two_points_interpolated_exactly(self):
-        cands = [
-            make_candidate("a", 0.2, label=0.4),
-            make_candidate("b", 0.6, label=0.8),
-        ]
-        preds = calibrate_and_predict(cands, "pass1")
+        cands = [make_candidate("a", 0.2), make_candidate("b", 0.6)]
+        preds = calibrate_and_predict(cands, {"a": 0.4, "b": 0.8}, "pass1")
         assert preds["a"] == pytest.approx(0.4, abs=1e-12)
         assert preds["b"] == pytest.approx(0.8, abs=1e-12)
 
     def test_pass1_equals_passk1(self):
         cands = [
-            make_candidate("a", 0.1, pass64=0.5, label=0.2),
-            make_candidate("b", 0.3, pass64=0.7, label=0.5),
+            make_candidate("a", 0.1, pass64=0.5),
+            make_candidate("b", 0.3, pass64=0.7),
             make_candidate("c", 0.4, pass64=0.9),
         ]
-        assert calibrate_and_predict(cands, "pass1") == calibrate_and_predict(
-            cands, "passk:1"
+        labels = {"a": 0.2, "b": 0.5}
+        assert calibrate_and_predict(cands, labels, "pass1") == calibrate_and_predict(
+            cands, labels, "passk:1"
         )
 
     def test_genloss_learns_negative_slope(self):
         cands = [
-            make_candidate("a", 0.5, gen_loss=2.0, label=0.2),
-            make_candidate("b", 0.5, gen_loss=1.0, label=0.6),
+            make_candidate("a", 0.5, gen_loss=2.0),
+            make_candidate("b", 0.5, gen_loss=1.0),
             make_candidate("c", 0.5, gen_loss=1.5),
         ]
-        preds = calibrate_and_predict(cands, "genloss")
+        preds = calibrate_and_predict(cands, {"a": 0.2, "b": 0.6}, "genloss")
         assert preds["c"] == pytest.approx(0.4, abs=1e-12)
 
     def test_avg_of_identical_components_matches_single(self):
-        cands = [
-            make_candidate("a", 0.2, gen_loss=0.2, label=0.3),
-            make_candidate("b", 0.5, gen_loss=0.5, label=0.6),
-            make_candidate("c", 0.8, gen_loss=0.8),
-        ]
+        cands = [make_candidate(c, x, gen_loss=x) for c, x in (("a", 0.2), ("b", 0.5), ("c", 0.8))]
+        labels = {"a": 0.3, "b": 0.6}
         # both components carry the same values, so the fits coincide
-        avg = calibrate_and_predict(cands, "avg:passk:1+genloss")
-        single = calibrate_and_predict(cands, "pass1")
+        avg = calibrate_and_predict(cands, labels, "avg:passk:1+genloss")
+        single = calibrate_and_predict(cands, labels, "pass1")
         for ckpt in avg:
             assert avg[ckpt] == pytest.approx(single[ckpt], abs=1e-12)
 
     def test_avg_is_the_mean_of_two_different_fits(self):
         # pass1 fits y = x and genloss fits y = 1 - x, both exactly
         cands = [
-            make_candidate("a", 0.2, gen_loss=0.8, label=0.2),
-            make_candidate("b", 0.6, gen_loss=0.4, label=0.6),
-            make_candidate("c", 0.4, gen_loss=0.6, label=0.4),
+            make_candidate("a", 0.2, gen_loss=0.8),
+            make_candidate("b", 0.6, gen_loss=0.4),
+            make_candidate("c", 0.4, gen_loss=0.6),
             make_candidate("d", 0.3, gen_loss=0.9),
         ]
-        avg = calibrate_and_predict(cands, "avg:passk:1+genloss")
-        by_pass1 = calibrate_and_predict(cands, "pass1")
-        by_genloss = calibrate_and_predict(cands, "genloss")
+        labels = {"a": 0.2, "b": 0.6, "c": 0.4}
+        avg = calibrate_and_predict(cands, labels, "avg:passk:1+genloss")
+        by_pass1 = calibrate_and_predict(cands, labels, "pass1")
+        by_genloss = calibrate_and_predict(cands, labels, "genloss")
         assert avg["d"] == pytest.approx((0.3 + 0.1) / 2, abs=1e-12)
         for ckpt in avg:
             assert avg[ckpt] == (by_pass1[ckpt] + by_genloss[ckpt]) / 2
 
     def test_single_component_passes_its_fit_through(self):
-        cands = [
-            make_candidate("a", 0.0, label=0.1),
-            make_candidate("b", 0.1, label=0.3),
-            make_candidate("c", 0.25, label=0.55),
-            make_candidate("d", 0.2),
-        ]
-        labeled = [LabeledPoint(c.checkpoint_id, c.pass1, c.post_rl_pass1) for c in cands[:3]]
-        fit = fit_linear(labeled)
-        preds = calibrate_and_predict(cands, "pass1")
+        cands = [make_candidate(c, x) for c, x in (("a", 0.0), ("b", 0.1), ("c", 0.25), ("d", 0.2))]
+        labels = {"a": 0.1, "b": 0.3, "c": 0.55}
+        fit = fit_linear([LabeledPoint(c.checkpoint_id, c.pass1, labels[c.checkpoint_id])
+                          for c in cands[:3]])
+        preds = calibrate_and_predict(cands, labels, "pass1")
         assert preds == {c.checkpoint_id: fit.predict(c.pass1) for c in cands}
 
     def test_too_few_labels(self):
-        cands = [make_candidate("a", 0.1, label=0.2), make_candidate("b", 0.3)]
+        cands = [make_candidate("a", 0.1), make_candidate("b", 0.3)]
         with pytest.raises(ValueError, match=">= 2 candidates"):
-            calibrate_and_predict(cands, "pass1")
+            calibrate_and_predict(cands, {"a": 0.2}, "pass1")
 
     def test_degenerate_metric_values(self):
-        cands = [make_candidate("a", 0.5, label=0.2), make_candidate("b", 0.5, label=0.6)]
+        cands = [make_candidate("a", 0.5), make_candidate("b", 0.5)]
         with pytest.raises(ValueError, match="degenerate"):
-            calibrate_and_predict(cands, "pass1")
+            calibrate_and_predict(cands, {"a": 0.2, "b": 0.6}, "pass1")
 
     def test_bad_metric_spec(self):
-        cands = [make_candidate("a", 0.1, label=0.2), make_candidate("b", 0.3, label=0.4)]
+        cands = [make_candidate("a", 0.1), make_candidate("b", 0.3)]
         with pytest.raises(ValueError, match="unknown metric"):
-            calibrate_and_predict(cands, "bogus")
+            calibrate_and_predict(cands, {"a": 0.2, "b": 0.4}, "bogus")
         with pytest.raises(ValueError, match="bad k"):
             parse_metric("passk:x")
         with pytest.raises(ValueError, match=">= 2 components"):
             parse_metric("avg:pass1")
 
+    @pytest.mark.parametrize("label", [1.5, -0.1, float("nan")])
+    def test_label_outside_unit_interval(self, label):
+        cands = [make_candidate("a", 0.1), make_candidate("b", 0.3)]
+        with pytest.raises(ValueError, match=r"post_rl_pass1 must be in \[0, 1\], got"):
+            calibrate_and_predict(cands, {"a": 0.2, "b": label}, "pass1")
 
-def test_candidate_validation():
-    metrics = CheckpointMetrics("m1", pass1=0.5, passk=PassKCurve((1,), (0.5,)))
-    with pytest.raises(ValueError, match="does not match"):
-        Candidate("other", metrics)
-    with pytest.raises(ValueError, match="post_rl_pass1"):
-        Candidate("m1", metrics, post_rl_pass1=1.5)
+    def test_labels_naming_unknown_checkpoints(self):
+        cands = [make_candidate("a", 0.1), make_candidate("b", 0.3)]
+        with pytest.raises(ValueError, match="labels name unknown checkpoints: y, z$"):
+            calibrate_and_predict(cands, {"z": 0.1, "a": 0.2, "b": 0.4, "y": 0.3}, "pass1")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference_stats
 from rlready.passk import CheckpointMetrics, PassKCurve
-from rlready.predict import Candidate, calibrate_and_predict, component_value, parse_metric
+from rlready.predict import calibrate_and_predict, component_value, parse_metric
 from rlready.stats import (
     EvalProtocolResult,
     LabeledPoint,
@@ -86,6 +86,11 @@ class TestFitLinear:
         with pytest.raises(ValueError, match="share x=0.0, or nearly"):
             fit_linear(pts((0.0, 0.2), (1e-200, 0.5)))
 
+    def test_overflowing_x_spread_is_a_value_error(self):
+        points = pts((0.0, 0.1), (1e200, 0.2), (2e200, 0.3))
+        with pytest.raises(ValueError, match="squared deviations overflows"):
+            fit_linear(points)
+
 
 class TestRSquared:
     def test_perfect_fit(self):
@@ -123,6 +128,10 @@ class TestRSquared:
     def test_distinct_labels_whose_spread_underflows_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
             r_squared(LinearFit(0.0, 0.0), pts((0, 0.0), (1, 1e-200), (2, 0.0)))
+
+    def test_overflowing_residuals_are_a_value_error(self):
+        with pytest.raises(ValueError, match="squared deviations overflows"):
+            r_squared(LinearFit(1e200, 0.0), pts((0, 0.0), (2, 1.0)))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match=">= 2 holdout"):
@@ -253,6 +262,13 @@ class TestRepeatedSplitEval:
         assert 0 < res.skipped < 200
         assert all(math.isfinite(v) for v in res.per_repeat_r2)
 
+    def test_overflowing_r2_dispersion_is_a_value_error(self):
+        # the tiny x spread of one fit draw gives a slope near 1e100, so its
+        # R² is near -1e199 and squaring its deviation from the mean overflows
+        points = pts((0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (3.7e-100, 1.0))
+        with pytest.raises(ValueError, match="squared deviations overflows"):
+            repeated_split_eval(points, n_fit=2, repeats=100, seed=0)
+
     def test_errors(self):
         points = self._noisy_points(3)
         with pytest.raises(ValueError, match=">= 4"):
@@ -371,12 +387,12 @@ def _calibration_cases(draw):
 @given(_calibration_cases())
 def test_calibrate_and_predict_matches_the_reference_bitwise(case):
     labels, rows, metric = case
-    candidates = [
-        Candidate(f"c{i}", CheckpointMetrics(f"c{i}", pass1, PassKCurve((1, 64), (pass1, pass64)),
-                                             gen_loss=loss), post_rl_pass1=label)
-        for i, ((pass1, pass64, loss), label) in enumerate(zip(rows, labels))
+    checkpoints = [
+        CheckpointMetrics(f"c{i}", pass1, PassKCurve((1, 64), (pass1, pass64)), gen_loss=loss)
+        for i, (pass1, pass64, loss) in enumerate(rows)
     ]
-    labeled = [c for c in candidates if c.post_rl_pass1 is not None]
+    label_map = {m.checkpoint_id: y for m, y in zip(checkpoints, labels) if y is not None}
+    labeled = [m for m in checkpoints if m.checkpoint_id in label_map]
     # from Python 3.12 the builtin sum that the reference adds components with
     # is compensated, so for three or more it parts from the split core's
     # left-to-right sum, which the shared function keeps
@@ -384,7 +400,11 @@ def test_calibrate_and_predict_matches_the_reference_bitwise(case):
     for comp in parse_metric(metric):
         # no constant x column among the labeled candidates
         assume(len({component_value(c, comp) for c in labeled}) > 1)
-    got = calibrate_and_predict(candidates, metric)
+    got = calibrate_and_predict(checkpoints, label_map, metric)
+    candidates = [
+        reference_stats.Candidate(m.checkpoint_id, m, post_rl_pass1=y)
+        for m, y in zip(checkpoints, labels)
+    ]
     want = reference_stats.calibrate_and_predict(candidates, metric)
     assert list(got) == list(want)
     assert _bits(got.values()) == _bits(want.values())

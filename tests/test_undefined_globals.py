@@ -55,3 +55,10 @@ def test_guard_flags_an_undefined_helper():
     namespace = {}
     exec(source, namespace)
     assert undefined_globals(source, namespace) == [("caller", "_helper")]
+
+
+def test_every_exported_name_is_bound():
+    assert [name for name in rlready.__all__ if not hasattr(rlready, name)] == []
+    namespace = {}
+    exec("from rlready import *", namespace)
+    assert set(rlready.__all__) <= set(namespace)
