@@ -13,16 +13,21 @@ machine-parsable line: "error: <category>: <message>".
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import MISSING, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__
 from .curate import CurationSpec, measure_lengths, select, split_validation
-from .passk import CheckpointMetrics, PassKCurve, aggregate
+from .passk import (
+    CheckpointMetrics,
+    TaskOutcome,
+    aggregate,
+    read_metrics_csv,
+    write_metrics_csv,
+)
 from .plotting import plot_scatter
 from .predict import (
     calibrate_and_predict,
@@ -51,7 +56,6 @@ from .stats import (
 )
 from .verifier import RULESET_VERSION, score
 
-METRICS_CSV_MARKER = "# rlready metrics v1"
 # collect's config keys are the SamplingJob fields, except that the config
 # names the tasks file tasks_path; a field without a default is required
 _CONFIG_REQUIRED = {
@@ -92,68 +96,6 @@ def _parse_ks(text: str) -> list[int]:
     return ks
 
 
-# ---------------------------------------------------------------- metrics CSV
-
-
-def _write_metrics_csv(path: Path, rows: list[dict], ks: list[int], metadata: dict) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["checkpoint_id", "n_benchmarks", "n_tasks", "min_n", "max_n", "pass1"]
-    header += [f"pass@{k}" for k in ks]
-    writer.writerow(header)
-    for row in sorted(rows, key=lambda r: r["checkpoint_id"]):
-        record = [
-            row["checkpoint_id"],
-            row["n_benchmarks"],
-            row["n_tasks"],
-            row["min_n"],
-            row["max_n"],
-            repr(row["pass1"]),
-        ]
-        record += [repr(v) for v in row["passk"]]
-        writer.writerow(record)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(METRICS_CSV_MARKER + "\n")
-        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        fh.write(buf.getvalue())
-
-
-def _read_metrics_csv(path: Path) -> list[CheckpointMetrics]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    rows = [line for line in lines if not line.startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: empty metrics file")
-    reader = csv.DictReader(io.StringIO("\n".join(rows)))
-    ks = []
-    for name in reader.fieldnames or []:
-        if name.startswith("pass@"):
-            try:
-                ks.append(int(name[len("pass@") :]))
-            except ValueError:
-                raise ValueError(f"{path}: bad column name {name!r}") from None
-    if not ks:
-        raise ValueError(f"{path}: no pass@k columns")
-    metrics = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            curve = PassKCurve(
-                ks=tuple(ks), values=tuple(float(row[f"pass@{k}"]) for k in ks)
-            )
-            metrics.append(
-                CheckpointMetrics(
-                    checkpoint_id=row["checkpoint_id"],
-                    pass1=float(row["pass1"]),
-                    passk=curve,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: row {lineno}: {exc}") from None
-    if not metrics:
-        raise ValueError(f"{path}: no checkpoint rows")
-    return metrics
-
-
 def _load_genloss_scalars(path: Path) -> dict[str, float]:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -176,7 +118,7 @@ def _load_genloss_scalars(path: Path) -> dict[str, float]:
 def _read_checkpoints(metrics_path: Path, genloss_path: Path | None) -> list[CheckpointMetrics]:
     """The metrics CSV's checkpoints sorted by id, each with its gen_loss if
     the genloss report names it."""
-    metrics = _read_metrics_csv(metrics_path)
+    metrics = read_metrics_csv(metrics_path)
     gen_loss = _load_genloss_scalars(genloss_path) if genloss_path else {}
     checkpoints = [
         replace(m, gen_loss=gen_loss[m.checkpoint_id]) if m.checkpoint_id in gen_loss else m
@@ -216,17 +158,25 @@ def cmd_collect(args) -> None:
 
 
 def cmd_verify(args) -> None:
-    samples = load("samples", args.samples)
     gold_records = {(g.benchmark_id, g.task_id): g for g in load("gold", args.gold)}
-    groups: dict[tuple[str, str, str], list] = {}
-    for s in samples:
-        groups.setdefault((s.checkpoint_id, s.benchmark_id, s.task_id), []).append(s)
-    outcomes = []
-    for (ckpt, bench, task), group in sorted(groups.items()):
-        gold = gold_records.get((bench, task))
+    # the sampler appends whole tasks, so each run of one (checkpoint, task)
+    # key is scored as the stream leaves it; a key split into several runs
+    # (a resumed collect) adds up their (n, c), as c is a per-sample sum
+    totals: dict[tuple[str, str, str], tuple[int, int]] = {}
+    missing = set()
+    samples = iter_records("samples", args.samples)
+    for key, run in groupby(samples, key=lambda s: (s.checkpoint_id, s.benchmark_id, s.task_id)):
+        gold = gold_records.get(key[1:])
         if gold is None:
-            raise ValueError(f"no gold answer for task ({bench!r}, {task!r})")
-        outcomes.append(score(group, gold))
+            missing.add(key)  # reported after the stream, so a bad line wins
+            continue
+        outcome = score(list(run), gold)
+        n, c = totals.get(key, (0, 0))
+        totals[key] = (n + outcome.n, c + outcome.c)
+    if missing:
+        _, bench, task = min(missing)
+        raise ValueError(f"no gold answer for task ({bench!r}, {task!r})")
+    outcomes = [TaskOutcome(*key, n, c) for key, (n, c) in sorted(totals.items())]
     dump("outcomes", outcomes, args.out)
     meta = _metadata(
         "verify",
@@ -264,7 +214,7 @@ def cmd_passk(args) -> None:
         ks=ks,
         aggregation=args.agg,
     )
-    _write_metrics_csv(Path(args.out), rows, ks, meta)
+    write_metrics_csv(Path(args.out), rows, ks, meta)
     print(f"wrote metrics for {len(rows)} checkpoints -> {args.out}")
 
 
@@ -353,6 +303,12 @@ def cmd_evaluate(args) -> None:
             protocol = repeated_split_eval(single, args.n_fit, args.repeats, args.seed)
         else:
             protocol = repeated_split_eval_combined(points, args.n_fit, args.repeats, args.seed)
+        if protocol.skipped:
+            print(
+                f"warning: {name}: {protocol.skipped} of {args.repeats} repeats "
+                "drew degenerate splits and were skipped",
+                file=sys.stderr,
+            )
         results[name] = {
             "spearman": spearman([predictions[m.checkpoint_id] for m in labeled], ys),
             "mean_r2": protocol.mean_r2,
@@ -496,7 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True, help="record store directory")
     p.set_defaults(func=cmd_collect)
 
-    p = sub.add_parser("verify", help="score samples against gold answers")
+    p = sub.add_parser(
+        "verify",
+        help="score samples against gold answers; holds one task group of samples "
+        "plus one (n, c) per task",
+    )
     p.add_argument("--samples", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True, help="outcomes.jsonl to write")

@@ -19,12 +19,19 @@ then the unweighted mean across benchmarks, so small benchmarks carry the
 same weight as large ones. A micro (task-weighted) mode is available for
 sensitivity checks. A checkpoint's Pass@1 is its overall curve at k=1,
 which aggregate evaluates whether or not 1 is among the requested ks.
+
+The metrics CSV that the passk command writes, and that rank, predict and
+evaluate read back as CheckpointMetrics, is written and read here.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass, field
 from itertools import groupby
+from pathlib import Path
 from typing import Iterable, Sequence
 
 
@@ -231,3 +238,69 @@ def aggregate(
 
 def _mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs)
+
+
+# ---------------------------------------------------------------- metrics CSV
+
+METRICS_CSV_MARKER = "# rlready metrics v1"
+
+
+def write_metrics_csv(path: Path, rows: list[dict], ks: list[int], metadata: dict) -> None:
+    """Write passk's rows, sorted by checkpoint, under the marker and a metadata line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["checkpoint_id", "n_benchmarks", "n_tasks", "min_n", "max_n", "pass1"]
+    header += [f"pass@{k}" for k in ks]
+    writer.writerow(header)
+    for row in sorted(rows, key=lambda r: r["checkpoint_id"]):
+        record = [
+            row["checkpoint_id"],
+            row["n_benchmarks"],
+            row["n_tasks"],
+            row["min_n"],
+            row["max_n"],
+            repr(row["pass1"]),
+        ]
+        record += [repr(v) for v in row["passk"]]
+        writer.writerow(record)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(METRICS_CSV_MARKER + "\n")
+        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
+        fh.write(buf.getvalue())
+
+
+def read_metrics_csv(path: Path) -> list[CheckpointMetrics]:
+    """The checkpoints of a metrics CSV, in file order, without gen_loss."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: empty metrics file")
+    reader = csv.DictReader(io.StringIO("\n".join(rows)))
+    ks = []
+    for name in reader.fieldnames or []:
+        if name.startswith("pass@"):
+            try:
+                ks.append(int(name[len("pass@") :]))
+            except ValueError:
+                raise ValueError(f"{path}: bad column name {name!r}") from None
+    if not ks:
+        raise ValueError(f"{path}: no pass@k columns")
+    metrics = []
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            curve = PassKCurve(
+                ks=tuple(ks), values=tuple(float(row[f"pass@{k}"]) for k in ks)
+            )
+            metrics.append(
+                CheckpointMetrics(
+                    checkpoint_id=row["checkpoint_id"],
+                    pass1=float(row["pass1"]),
+                    passk=curve,
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: row {lineno}: {exc}") from None
+    if not metrics:
+        raise ValueError(f"{path}: no checkpoint rows")
+    return metrics

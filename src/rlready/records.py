@@ -23,7 +23,9 @@ ignored.
 
 There is one reader, iter_records, which streams a file's validated records
 and keeps only their keys, for the per-kind uniqueness check; load is
-list(iter_records(...)). A file is rejected on its first invalid line,
+list(iter_records(...)). The commands that read the large files fold the
+stream: genloss keeps two numbers per record, and verify holds one task
+group of samples plus one (n, c) per task. A file is rejected on its first invalid line,
 reporting the line number and offending field. A number field must be
 finite: NaN, infinities and integers beyond the float range are rejected.
 
@@ -316,7 +318,10 @@ def file_sha256(path: str | Path) -> str:
 
 def _read_manifest(path: Path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     # the fields that count, append, verify and set_metadata read
     if not (
         isinstance(manifest, dict)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from rlready.cli import METRICS_CSV_MARKER, main
+from rlready.cli import main
+from rlready.passk import METRICS_CSV_MARKER
 from rlready.records import aggregate_genloss, load
 from rlready.stats import LabeledPoint, repeated_split_eval, repeated_split_eval_combined
 
@@ -276,6 +277,34 @@ def test_evaluate_labels_whose_spread_underflows_exit_one(inputs, capsys):
     assert err == ["error: validation: all 20 repeats drew degenerate splits"]
 
 
+def test_evaluate_warns_once_per_predictor_that_skipped_repeats(inputs, capsys):
+    out = inputs["dir"] / "evaluate.json"
+    argv = ["evaluate", "--metrics", str(inputs["metrics"]), "--labels", str(inputs["labels"]),
+            "--genloss", str(inputs["genloss"]), "--n-fit", "3", "--repeats", "40",
+            "--seed", "0", "--k", str(K), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""  # the fixture's labels draw no degenerate split
+    # four labeled checkpoints share a label, so a holdout of three of them
+    # has no spread: some repeats are skipped, and every predictor sees them
+    inputs["labels"].write_text(
+        "".join(
+            json.dumps({"checkpoint_id": c, "post_rl_pass1": 0.3 if i < 4 else CHECKPOINTS[c][3]})
+            + "\n"
+            for i, c in enumerate(LABELED)
+        ),
+        encoding="utf-8",
+    )
+    assert main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))["metrics"]
+    names = ["pass1", f"passk:{K}", "genloss", f"avg:passk:{K}+genloss"]
+    assert all(0 < report[name]["skipped"] < 40 for name in names), report
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {name}: {report[name]['skipped']} of 40 repeats drew degenerate splits "
+        "and were skipped"
+        for name in names
+    ]
+
+
 @pytest.mark.parametrize(
     "known,error",
     [(LABELED, "labels name unknown checkpoints: ckpt-z"),
@@ -347,7 +376,8 @@ ENTRY = {"path": "samples.jsonl", "count": 0, "sha256": "0" * 64}
      {"records": {"samples": {**ENTRY, "path": 5}}, "metadata": {}},
      {"records": {"samples": {**ENTRY, "count": "0"}}, "metadata": {}},
      {"records": {"samples": {**ENTRY, "count": True}}, "metadata": {}},
-     {"records": {"samples": {**ENTRY, "sha256": None}}, "metadata": {}}],
+     {"records": {"samples": {**ENTRY, "sha256": None}}, "metadata": {}},
+     "{"],  # a string is the file's raw text, not valid JSON
 )
 def test_collect_into_a_malformed_manifest_exits_one_with_one_error_line(
     inputs, manifest, capsys
@@ -358,7 +388,8 @@ def test_collect_into_a_malformed_manifest_exits_one_with_one_error_line(
               "tasks_path": str(d / "tasks.jsonl"), "n": 1}
     (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
     (d / "store").mkdir()
-    (d / "store" / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    (d / "store" / "manifest.json").write_text(text, encoding="utf-8")
     argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
@@ -413,6 +444,104 @@ def test_genloss_keeps_two_numbers_per_record_not_the_record(tmp_path):
     whole = traced_peak(lambda: load("genloss", records))
     # what remains is the duplicate-key index, which the reader must keep
     assert genloss <= 0.85 * whole, (genloss, whole)
+
+
+# ----------------------------------------------------------- verify streaming
+
+
+def write_jsonl(path: Path, rows) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
+    return path
+
+
+def sample_rows(ckpt, bench, task, indices, correct):
+    """One row per index; the indices in correct box the gold answer 7, the rest 5."""
+    return [{"checkpoint_id": ckpt, "benchmark": bench, "task_id": task, "sample_index": i,
+             "text": f"so \\boxed{{{7 if i in correct else 5}}}"} for i in indices]
+
+
+def run_verify(d: Path, samples: Path, gold: Path):
+    out = d / "outcomes.jsonl"
+    code = main(["verify", "--samples", str(samples), "--gold", str(gold), "--out", str(out)])
+    return code, out
+
+
+def test_verify_adds_up_a_task_split_into_runs_to_the_bytes_of_sorted_samples(tmp_path):
+    gold = write_jsonl(tmp_path / "gold.jsonl", [
+        {"benchmark": "b", "task_id": t, "answer": "7"} for t in ("t0", "t1")])
+    # a resumed collect leaves t0 of ckpt-1 in two runs around another task
+    runs = [("ckpt-1", "t0", range(0, 3), {0, 2}), ("ckpt-0", "t1", range(4), {1}),
+            ("ckpt-1", "t1", range(4), set()), ("ckpt-1", "t0", range(3, 6), {3, 4, 5}),
+            ("ckpt-0", "t0", range(4), {0, 1, 2, 3})]
+    rows = [row for ckpt, task, idx, ok in runs for row in sample_rows(ckpt, "b", task, idx, ok)]
+    ordered = sorted(rows, key=lambda r: (r["checkpoint_id"], r["task_id"], r["sample_index"]))
+    code, split_out = run_verify(tmp_path, write_jsonl(tmp_path / "split.jsonl", rows), gold)
+    assert code == 0
+    split = split_out.read_bytes()
+    code, sorted_out = run_verify(tmp_path, write_jsonl(tmp_path / "sorted.jsonl", ordered), gold)
+    assert code == 0
+    assert sorted_out.read_bytes() == split
+    assert [(o.checkpoint_id, o.task_id, o.n, o.c) for o in load("outcomes", sorted_out)] == [
+        ("ckpt-0", "t0", 4, 4), ("ckpt-0", "t1", 4, 1), ("ckpt-1", "t0", 6, 5),
+        ("ckpt-1", "t1", 4, 0)]
+
+
+def test_verify_without_gold_names_the_first_task_in_sorted_order(tmp_path, capsys):
+    gold = write_jsonl(tmp_path / "gold.jsonl", [
+        {"benchmark": "b", "task_id": "t1", "answer": "7"}])
+    # the stream meets ckpt-1's t0 first; sorted, ckpt-0's t2 comes first
+    rows = (sample_rows("ckpt-1", "b", "t0", range(2), set())
+            + sample_rows("ckpt-0", "b", "t2", range(2), set())
+            + sample_rows("ckpt-0", "b", "t1", range(2), {0}))
+    code, out = run_verify(tmp_path, write_jsonl(tmp_path / "samples.jsonl", rows), gold)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: no gold answer for task ('b', 't2')"]
+    assert not out.exists()
+
+
+def test_verify_reports_a_malformed_line_after_a_task_without_gold(tmp_path, capsys):
+    gold = write_jsonl(tmp_path / "gold.jsonl", [
+        {"benchmark": "b", "task_id": "t1", "answer": "7"}])
+    samples = write_jsonl(tmp_path / "samples.jsonl",
+                          sample_rows("ckpt-0", "b", "t0", range(2), set()))
+    with open(samples, "a", encoding="utf-8") as fh:
+        fh.write('{"checkpoint_id": "ckpt-0",\n')
+    code, out = run_verify(tmp_path, samples, gold)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: validation: {samples}: line 3: malformed JSON"), err
+    assert not out.exists()
+
+
+def test_verify_reports_the_gold_error_when_both_inputs_are_invalid(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"benchmark": "b", "task_id": "t0", "answer": 7}\n', encoding="utf-8")
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text("not json\n", encoding="utf-8")
+    code, out = run_verify(tmp_path, samples, gold)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {gold}: line 1: field 'answer': expected string, got int"]
+    assert not out.exists()
+
+
+def test_verify_holds_one_task_group_not_the_samples_file(tmp_path):
+    rng = random.Random(11)
+    tasks = [f"t{i:03d}" for i in range(96)]
+    gold = write_jsonl(tmp_path / "gold.jsonl", [
+        {"benchmark": "b", "task_id": t, "answer": str(i)} for i, t in enumerate(tasks)])
+    samples = write_jsonl(tmp_path / "samples.jsonl", (
+        {"checkpoint_id": f"ckpt-{c}", "benchmark": "b", "task_id": t, "sample_index": s,
+         "text": "so x = y. " * rng.randint(200, 600) + f"\\boxed{{{rng.randint(0, 95)}}}"}
+        for c in range(2) for t in tasks for s in range(16)))
+    peak = traced_peak(lambda: run_verify(tmp_path, samples, gold))
+    size = samples.stat().st_size
+    assert load("outcomes", tmp_path / "outcomes.jsonl")[-1].n == 16
+    # what remains is the reader's duplicate-key index and the (n, c) totals
+    assert peak <= 0.25 * size, (peak, size)
 
 
 # ------------------------------------------------------------ golden pipeline
