@@ -19,7 +19,6 @@ from .records import (
     GenLossRecord,
     Label,
     RecordStore,
-    aggregate_genloss,
     dump,
     file_sha256,
     genloss_by_checkpoint,
@@ -73,7 +72,6 @@ __all__ = [
     "SftExample",
     "TaskOutcome",
     "aggregate",
-    "aggregate_genloss",
     "answers_equal",
     "calibrate_and_predict",
     "dump",

@@ -44,6 +44,7 @@ from .records import (
     genloss_by_checkpoint,
     iter_records,
     load,
+    read_json,
 )
 from .sampler import SamplingIncomplete, SamplingJob, sample_completions
 from .stats import (
@@ -97,11 +98,7 @@ def _parse_ks(text: str) -> list[int]:
 
 
 def _load_genloss_scalars(path: Path) -> dict[str, float]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    payload = read_json(path)
     gen_loss = payload.get("gen_loss") if isinstance(payload, dict) else None
     if not isinstance(gen_loss, dict):
         raise ValueError(f"{path}: expected a genloss report with a 'gen_loss' map")
@@ -131,11 +128,7 @@ def _read_checkpoints(metrics_path: Path, genloss_path: Path | None) -> list[Che
 
 
 def cmd_collect(args) -> None:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+    config = read_json(args.config)
     if not isinstance(config, dict):
         raise ValueError(f"{args.config}: config must be a flat JSON object")
     unknown = sorted(set(config) - set(_CONFIG_REQUIRED))

@@ -22,12 +22,14 @@ be absent, and is left out on write when it is None. Unknown fields are
 ignored.
 
 There is one reader, iter_records, which streams a file's validated records
-and keeps only their keys, for the per-kind uniqueness check; load is
-list(iter_records(...)). The commands that read the large files fold the
-stream: genloss keeps two numbers per record, and verify holds one task
-group of samples plus one (n, c) per task. A file is rejected on its first invalid line,
-reporting the line number and offending field. A number field must be
-finite: NaN, infinities and integers beyond the float range are rejected.
+and keeps one hash per key for the per-kind uniqueness check; a hash seen
+before is confirmed by reading the file again up to that line, so the check
+stays exact. load is list(iter_records(...)). The commands that read the
+large files fold the stream: genloss keeps one number per record and a
+token total per checkpoint, and verify holds one task group of samples plus
+one (n, c) per task. A file is rejected on its first invalid line, reporting
+the line number and offending field. A number field must be finite: NaN,
+infinities and integers beyond the float range are rejected.
 
 The store is append-only with a manifest tracking per-file line counts and
 whole-file sha256 hashes, so every derived number can be audited back to raw
@@ -41,6 +43,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
@@ -196,18 +199,10 @@ def _field_values(checks: tuple[tuple, ...], obj: dict) -> list:
     return values
 
 
-def iter_records(kind: str, path: str | Path) -> Iterator:
-    """Yield the validated records of one JSONL file of the given kind, in file order.
-
-    Only each record's key is kept, for the duplicate check; a caller that
-    folds the stream holds no record it has moved past. The file is rejected
-    on the first malformed line, schema violation or duplicate key, with the
-    line number and field name, so a caller must not act on what it received
-    before the error.
-    """
-    spec = _kind(kind)
+def _rows(path: str | Path, spec: _Schema) -> Iterator[tuple[int, tuple, Any]]:
+    """Yield (line number, key, record) for each line of a JSONL file, in file
+    order, raising on the first malformed line or schema violation."""
     cls, checks, key_len, order = spec.cls, spec.checks, spec.key_len, spec.order
-    seen: dict[tuple, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -223,14 +218,59 @@ def iter_records(kind: str, path: str | Path) -> Iterator:
                 record = cls(*values) if order is None else cls(*[values[i] for i in order])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            key = tuple(values[:key_len])
-            if key in seen:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate {kind} key {key!r} "
-                    f"(first seen at line {seen[key]})"
-                )
-            seen[key] = lineno
+            yield lineno, tuple(values[:key_len]), record
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The number of the first line of path that is not valid UTF-8, its lines
+    split as the text-mode reader splits them."""
+    # surrogateescape turns each byte that does not decode into a lone
+    # surrogate, which valid UTF-8 never yields and which cannot be encoded
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    raise ValueError(f"{path}: changed while it was read")
+
+
+def iter_records(kind: str, path: str | Path) -> Iterator:
+    """Yield the validated records of one JSONL file of the given kind, in file order.
+
+    The file is rejected on the first malformed line, schema violation, byte
+    that is not UTF-8 or duplicate key, with the line number and field name,
+    so a caller must not act on what it received before the error. (Bytes
+    are decoded a buffer ahead of the lines, so a byte that is not UTF-8 can
+    be reported before an invalid line a few kilobytes above it.) A caller
+    that folds the stream holds no record it has moved past.
+
+    For the duplicate check the reader keeps one hash per key, not the key.
+    A line whose key hashes to a value already seen is confirmed by reading
+    the file again up to that line: an earlier line with an equal key makes
+    it a duplicate, and no such line makes it a hash collision, which is
+    passed over. So the check is exact, and only a duplicate, which ends the
+    read, or a collision pays for the second read.
+    """
+    spec = _kind(kind)
+    hashes: set[int] = set()
+    try:
+        for lineno, key, record in _rows(path, spec):
+            digest = hash(key)
+            if digest in hashes:
+                with closing(_rows(path, spec)) as earlier:
+                    for first, other, _ in earlier:
+                        if first == lineno:
+                            break  # a collision: no earlier line has this key
+                        if other == key:
+                            raise ValueError(
+                                f"{path}: line {lineno}: duplicate {kind} key {key!r} "
+                                f"(first seen at line {first})"
+                            )
+            hashes.add(digest)
             yield record
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: line {_undecodable_line(path)}: not valid UTF-8") from None
 
 
 def load(kind: str, path: str | Path) -> list:
@@ -266,42 +306,30 @@ def genloss_by_checkpoint(
 
     token_weighted (default) is sum(nll_sum)/sum(token_count), the corpus
     mean per-token NLL a trainer reports as validation loss; per_example is
-    the unweighted mean of per-example means. Only the summed columns are
-    kept, not the records, so records may be a stream of any length. Each
-    sum is the builtin sum of a list in input order, so a stream and a list
-    of the same records give the same bits.
+    the unweighted mean of per-example means. Only a column of nll_sum values
+    and a running token total are kept, not the records, so records may be a
+    stream of any length. Each float sum is the builtin sum of a list in input
+    order, and an integer total is exact, so a stream and a list of the same
+    records give the same bits.
     """
     if mode not in ("token_weighted", "per_example"):
         raise ValueError(f"mode must be 'token_weighted' or 'per_example', got {mode!r}")
-    # checkpoint -> (nll_sum column, token_count column); per_example keeps
-    # the per-example means in the first column and leaves the second empty
-    columns: dict[str, tuple[list[float], list[int]]] = {}
+    # checkpoint -> [nll_sum column, token_count total]; per_example keeps
+    # the per-example means in the column and leaves the total at 0
+    columns: dict[str, list] = {}
     weighted = mode == "token_weighted"
     for r in records:
         entry = columns.get(r.checkpoint_id)
         if entry is None:
-            entry = columns[r.checkpoint_id] = ([], [])
-        nll, tokens = entry
+            entry = columns[r.checkpoint_id] = [[], 0]
         if weighted:
-            nll.append(r.nll_sum)
-            tokens.append(r.token_count)
+            entry[0].append(r.nll_sum)
+            entry[1] += r.token_count
         else:
-            nll.append(r.nll_sum / r.token_count)
+            entry[0].append(r.nll_sum / r.token_count)
     if weighted:
-        return {ckpt: sum(nll) / sum(tokens) for ckpt, (nll, tokens) in sorted(columns.items())}
+        return {ckpt: sum(nll) / tokens for ckpt, (nll, tokens) in sorted(columns.items())}
     return {ckpt: sum(means) / len(means) for ckpt, (means, _) in sorted(columns.items())}
-
-
-def aggregate_genloss(
-    records: Sequence[GenLossRecord], mode: str = "token_weighted"
-) -> float:
-    """One checkpoint's scalar loss (see genloss_by_checkpoint for the modes)."""
-    if not records:
-        raise ValueError("no genloss records to aggregate")
-    scalars = genloss_by_checkpoint(records, mode)
-    if len(scalars) > 1:
-        raise ValueError(f"genloss records span multiple checkpoints: {list(scalars)}")
-    return next(iter(scalars.values()))
 
 
 def _sha256_of(path: str | Path):
@@ -316,12 +344,20 @@ def file_sha256(path: str | Path) -> str:
     return _sha256_of(path).hexdigest()
 
 
-def _read_manifest(path: Path) -> dict:
+def read_json(path: str | Path) -> Any:
+    """The JSON document in path, or a ValueError that names the file if it is
+    not UTF-8 or not JSON."""
     with open(path, encoding="utf-8") as fh:
         try:
-            manifest = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not valid UTF-8") from None
+
+
+def _read_manifest(path: Path) -> dict:
+    manifest = read_json(path)
     # the fields that count, append, verify and set_metadata read
     if not (
         isinstance(manifest, dict)

@@ -1,17 +1,25 @@
-"""The per-kind JSONL parsers, key functions and writers that records._SCHEMAS replaced.
+"""Earlier implementations of records.py, kept verbatim as test oracles.
 
-Kept verbatim as the oracle for the differential test in test_records.py: for
-the six kinds they cover, the table-driven loader must accept and reject the
-same lines, build equal records and write identical lines.
+- The per-kind JSONL parsers, key functions and writers that records._SCHEMAS
+  replaced: for the six kinds they cover, the table-driven loader must accept
+  and reject the same lines, build equal records and write identical lines.
+- iter_records with a {key: line number} index, which the one-hash-per-key
+  index replaced: on any file both must yield equal records or raise the
+  identical message.
+- genloss_by_checkpoint with a token_count column, which the running token
+  total replaced, and aggregate_genloss, which no pipeline code calls: the
+  genloss command must give the bits of aggregate_genloss per checkpoint.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import json
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from rlready.curate import SftExample
 from rlready.passk import TaskOutcome
-from rlready.records import GenLossRecord, Label
+from rlready.records import GenLossRecord, Label, _field_values, _kind
 from rlready.verifier import GoldAnswer, Sample
 
 
@@ -161,3 +169,85 @@ _WRITERS: dict[str, Callable[[Any], dict]] = {
         "response": r.response,
     },
 }
+
+
+def iter_records(kind: str, path: str | Path) -> Iterator:
+    """Yield the validated records of one JSONL file of the given kind, in file order.
+
+    Only each record's key is kept, for the duplicate check; a caller that
+    folds the stream holds no record it has moved past. The file is rejected
+    on the first malformed line, schema violation or duplicate key, with the
+    line number and field name, so a caller must not act on what it received
+    before the error.
+    """
+    spec = _kind(kind)
+    cls, checks, key_len, order = spec.cls, spec.checks, spec.key_len, spec.order
+    seen: dict[tuple, int] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                raise ValueError(f"{path}: line {lineno}: empty line")
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+            try:
+                values = _field_values(checks, obj)
+                record = cls(*values) if order is None else cls(*[values[i] for i in order])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            key = tuple(values[:key_len])
+            if key in seen:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate {kind} key {key!r} "
+                    f"(first seen at line {seen[key]})"
+                )
+            seen[key] = lineno
+            yield record
+
+
+def genloss_by_checkpoint(
+    records: Iterable[GenLossRecord], mode: str = "token_weighted"
+) -> dict[str, float]:
+    """Collapse each checkpoint's per-example losses into a scalar, in one pass.
+
+    token_weighted (default) is sum(nll_sum)/sum(token_count), the corpus
+    mean per-token NLL a trainer reports as validation loss; per_example is
+    the unweighted mean of per-example means. Only the summed columns are
+    kept, not the records, so records may be a stream of any length. Each
+    sum is the builtin sum of a list in input order, so a stream and a list
+    of the same records give the same bits.
+    """
+    if mode not in ("token_weighted", "per_example"):
+        raise ValueError(f"mode must be 'token_weighted' or 'per_example', got {mode!r}")
+    # checkpoint -> (nll_sum column, token_count column); per_example keeps
+    # the per-example means in the first column and leaves the second empty
+    columns: dict[str, tuple[list[float], list[int]]] = {}
+    weighted = mode == "token_weighted"
+    for r in records:
+        entry = columns.get(r.checkpoint_id)
+        if entry is None:
+            entry = columns[r.checkpoint_id] = ([], [])
+        nll, tokens = entry
+        if weighted:
+            nll.append(r.nll_sum)
+            tokens.append(r.token_count)
+        else:
+            nll.append(r.nll_sum / r.token_count)
+    if weighted:
+        return {ckpt: sum(nll) / sum(tokens) for ckpt, (nll, tokens) in sorted(columns.items())}
+    return {ckpt: sum(means) / len(means) for ckpt, (means, _) in sorted(columns.items())}
+
+
+def aggregate_genloss(
+    records: Sequence[GenLossRecord], mode: str = "token_weighted"
+) -> float:
+    """One checkpoint's scalar loss (see genloss_by_checkpoint for the modes)."""
+    if not records:
+        raise ValueError("no genloss records to aggregate")
+    scalars = genloss_by_checkpoint(records, mode)
+    if len(scalars) > 1:
+        raise ValueError(f"genloss records span multiple checkpoints: {list(scalars)}")
+    return next(iter(scalars.values()))

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
+import reference_records as reference
 from rlready.cli import main
 from rlready.passk import METRICS_CSV_MARKER
-from rlready.records import aggregate_genloss, load
+from rlready.records import load
 from rlready.stats import LabeledPoint, repeated_split_eval, repeated_split_eval_combined
 
 K = 64
@@ -152,8 +153,8 @@ TASK = {"task_id": "t0", "problem": "p", "benchmark": "b"}
 POINT = {"checkpoint_id": "ckpt-a", "x": 0.1, "y": 0.2}
 LOSS = {"checkpoint_id": "ckpt-a", "example_id": "e0", "nll_sum": 2.5, "token_count": 3}
 HUGE = "1" + "0" * 400  # an integer beyond the float range
-# case -> (kind, lines of the JSONL input as objects or raw text, what the one
-# error line must name)
+# case -> (kind, lines of the JSONL input as objects, raw text or raw bytes,
+# what the one error line must name)
 MALFORMED_LINES = {
     "task line not an object": ("tasks", [[1, 2]], ["line 1"]),
     "null task_id": ("tasks", [TASK, {**TASK, "task_id": None}], ["line 2", "'task_id'"]),
@@ -179,6 +180,21 @@ MALFORMED_LINES = {
                           ["line 1", "'post_rl_pass1'", "finite"]),
     "huge post_rl_pass1": ("labels", ['{"checkpoint_id": "ckpt-a", "post_rl_pass1": %s}' % HUGE],
                            ["line 1", "'post_rl_pass1'", "finite"]),
+    "byte 0xff in a gold line": ("gold", [b"\xff"], ["gold.jsonl: line 1: not valid UTF-8"]),
+    "byte 0xff in a label line": (
+        "labels", [b'{"checkpoint_id": "ckpt-\xff", "post_rl_pass1": 0.2}'],
+        ["labels.jsonl: line 1: not valid UTF-8"]),
+    "byte 0xff in a task line": ("tasks", [TASK, b'{"task_id": "t1", "problem": "\xff"}'],
+                                 ["tasks.jsonl: line 2: not valid UTF-8"]),
+    "byte 0xff in genloss line 2": (
+        "genloss", [LOSS, json.dumps({**LOSS, "example_id": "e1"}).encode() + b"\xff"],
+        ["genloss.jsonl: line 2: not valid UTF-8"]),
+    # beyond the first buffer the reader decodes, after lines of two-byte characters
+    "byte 0xff in genloss line 301": (
+        "genloss",
+        [json.dumps({**LOSS, "example_id": f"e{i}\u00e9"}, ensure_ascii=False).encode()
+         for i in range(300)] + [b"\xff"],
+        ["genloss.jsonl: line 301: not valid UTF-8"]),
     "label of an unknown checkpoint": (
         "labels",
         [{"checkpoint_id": "ckpt-a", "post_rl_pass1": 0.2},
@@ -197,6 +213,8 @@ MALFORMED_GENLOSS_REPORTS = {
     "infinite gen_loss": ("predict", '{"gen_loss": {"ckpt-c": Infinity}}', ["'ckpt-c'"]),
     "huge gen_loss": ("predict", '{"gen_loss": {"ckpt-d": %s}}' % HUGE, ["'ckpt-d'"]),
     "null gen_loss": ("predict", '{"gen_loss": {"ckpt-e": null}}', ["'ckpt-e'"]),
+    "byte 0xff in the report": ("rank", b'{"gen_loss": {"ckpt-\xff": 1.0}}',
+                                ["bad-genloss.json: not valid UTF-8"]),
     # finite, but the squared deviations of 1e200 from the mean overflow
     "overflowing gen_loss spread": (
         "predict",
@@ -207,16 +225,20 @@ MALFORMED_GENLOSS_REPORTS = {
 }
 
 
+def as_bytes(row) -> bytes:
+    """A line or file given as raw bytes, raw text or an object to write as JSON."""
+    if isinstance(row, bytes):
+        return row
+    return (row if isinstance(row, str) else json.dumps(row)).encode("utf-8")
+
+
 @pytest.mark.parametrize("case", [*MALFORMED_LINES, *MALFORMED_GENLOSS_REPORTS])
 def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
     d = inputs["dir"]
     if case in MALFORMED_LINES:
         kind, rows, named = MALFORMED_LINES[case]
         path = d / f"{kind}.jsonl"
-        path.write_text(
-            "".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows),
-            encoding="utf-8",
-        )
+        path.write_bytes(b"".join(as_bytes(row) + b"\n" for row in rows))
         if kind == "tasks":
             config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
                       "tasks_path": str(path), "n": 1}
@@ -226,12 +248,15 @@ def test_malformed_inputs_exit_one_with_one_error_line(inputs, case, capsys):
             argv = ["plot", "--points", str(path), "--out", str(d / "plot.svg")]
         elif kind == "genloss":
             argv = ["genloss", "--records", str(path), "--out", str(d / "out.json")]
+        elif kind == "gold":
+            argv = ["verify", "--samples", str(d / "samples.jsonl"), "--gold", str(path),
+                    "--out", str(d / "out.jsonl")]
         else:
             argv = ["predict", "--metrics", str(inputs["metrics"]), "--labels", str(path),
                     "--metric", "pass1", "--out", str(d / "out.json")]
     else:
         command, text, named = MALFORMED_GENLOSS_REPORTS[case]
-        (d / "bad-genloss.json").write_text(text, encoding="utf-8")
+        (d / "bad-genloss.json").write_bytes(as_bytes(text))
         argv = [command, "--metrics", str(inputs["metrics"]),
                 "--genloss", str(d / "bad-genloss.json"), "--out", str(d / "out.json")]
         if command == "rank":
@@ -377,7 +402,8 @@ ENTRY = {"path": "samples.jsonl", "count": 0, "sha256": "0" * 64}
      {"records": {"samples": {**ENTRY, "count": "0"}}, "metadata": {}},
      {"records": {"samples": {**ENTRY, "count": True}}, "metadata": {}},
      {"records": {"samples": {**ENTRY, "sha256": None}}, "metadata": {}},
-     "{"],  # a string is the file's raw text, not valid JSON
+     # a string or bytes is the file's raw content, not valid JSON or not UTF-8
+     "{", b'{"records": {}, "metadata": {"\xff": 1}}'],
 )
 def test_collect_into_a_malformed_manifest_exits_one_with_one_error_line(
     inputs, manifest, capsys
@@ -388,13 +414,24 @@ def test_collect_into_a_malformed_manifest_exits_one_with_one_error_line(
               "tasks_path": str(d / "tasks.jsonl"), "n": 1}
     (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
     (d / "store").mkdir()
-    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
-    (d / "store" / "manifest.json").write_text(text, encoding="utf-8")
+    (d / "store" / "manifest.json").write_bytes(as_bytes(manifest))
     argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: validation: "), err
     assert str(d / "store" / "manifest.json") in err[0]
+    if isinstance(manifest, bytes):
+        assert err[0].endswith("manifest.json: not valid UTF-8"), err
+
+
+def test_collect_config_that_is_not_utf8_exits_one_with_one_error_line(inputs, capsys):
+    config = inputs["dir"] / "config.json"
+    config.write_bytes(b'{"model_name": "m\xff"}')
+    argv = ["collect", "--config", str(config), "--store", str(inputs["dir"] / "store")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {config}: not valid UTF-8"]
+    assert not (inputs["dir"] / "store").exists()
 
 
 # ---------------------------------------------------------- genloss streaming
@@ -417,11 +454,12 @@ def test_genloss_streams_to_the_bits_of_aggregate_genloss(tmp_path, mode):
     out = tmp_path / "genloss.json"
     assert main(["genloss", "--records", str(records), "--mode", mode, "--out", str(out)]) == 0
     got = json.loads(out.read_text(encoding="utf-8"))["gen_loss"]
-    loaded = load("genloss", records)
+    loaded = list(reference.iter_records("genloss", records))
     assert sorted(got) == [f"ckpt-{i}" for i in range(7)]
     for ckpt, value in got.items():
         own = [r for r in loaded if r.checkpoint_id == ckpt]
-        assert value.hex() == aggregate_genloss(own, mode).hex(), ckpt
+        # the fold that kept a token_count column, on one checkpoint's records
+        assert value.hex() == reference.aggregate_genloss(own, mode).hex(), ckpt
 
 
 def traced_peak(fn) -> int:
@@ -442,8 +480,10 @@ def test_genloss_keeps_two_numbers_per_record_not_the_record(tmp_path):
     out = tmp_path / "genloss.json"
     genloss = traced_peak(lambda: main(["genloss", "--records", str(records), "--out", str(out)]))
     whole = traced_peak(lambda: load("genloss", records))
-    # what remains is the duplicate-key index, which the reader must keep
+    # what remains is one nll_sum per record and the reader's index of one
+    # hash per key: about 112 bytes per record, 312 with an index of keys
     assert genloss <= 0.85 * whole, (genloss, whole)
+    assert genloss <= 160 * 50_000, genloss
 
 
 # ----------------------------------------------------------- verify streaming
@@ -528,20 +568,38 @@ def test_verify_reports_the_gold_error_when_both_inputs_are_invalid(tmp_path, ca
     assert not out.exists()
 
 
-def test_verify_holds_one_task_group_not_the_samples_file(tmp_path):
+def write_verify_inputs(d: Path, samples_per_task: int, repeats: tuple[int, int]) -> Path:
+    """gold.jsonl and samples.jsonl for 2 checkpoints x 96 tasks, each text
+    "so x = y. " repeated a number of times in repeats, then a boxed answer;
+    returns the samples path."""
     rng = random.Random(11)
     tasks = [f"t{i:03d}" for i in range(96)]
-    gold = write_jsonl(tmp_path / "gold.jsonl", [
+    write_jsonl(d / "gold.jsonl", [
         {"benchmark": "b", "task_id": t, "answer": str(i)} for i, t in enumerate(tasks)])
-    samples = write_jsonl(tmp_path / "samples.jsonl", (
+    return write_jsonl(d / "samples.jsonl", (
         {"checkpoint_id": f"ckpt-{c}", "benchmark": "b", "task_id": t, "sample_index": s,
-         "text": "so x = y. " * rng.randint(200, 600) + f"\\boxed{{{rng.randint(0, 95)}}}"}
-        for c in range(2) for t in tasks for s in range(16)))
-    peak = traced_peak(lambda: run_verify(tmp_path, samples, gold))
+         "text": "so x = y. " * rng.randint(*repeats) + f"\\boxed{{{rng.randint(0, 95)}}}"}
+        for c in range(2) for t in tasks for s in range(samples_per_task)))
+
+
+def test_verify_holds_one_task_group_not_the_samples_file(tmp_path):
+    samples = write_verify_inputs(tmp_path, 16, (200, 600))
+    peak = traced_peak(lambda: run_verify(tmp_path, samples, tmp_path / "gold.jsonl"))
     size = samples.stat().st_size
     assert load("outcomes", tmp_path / "outcomes.jsonl")[-1].n == 16
-    # what remains is the reader's duplicate-key index and the (n, c) totals
+    # what remains is the reader's index of one hash per key and the (n, c) totals
     assert peak <= 0.25 * size, (peak, size)
+
+
+def test_verify_of_short_texts_holds_a_small_part_of_the_samples_file(tmp_path):
+    # about 1 KB a text, so the per-sample index weighs more against the file
+    # than with the long texts above: 0.09x the file with one hash per key,
+    # 0.25x with an index of keys
+    samples = write_verify_inputs(tmp_path, 64, (80, 110))
+    peak = traced_peak(lambda: run_verify(tmp_path, samples, tmp_path / "gold.jsonl"))
+    size = samples.stat().st_size
+    assert load("outcomes", tmp_path / "outcomes.jsonl")[-1].n == 64
+    assert peak <= 0.15 * size, (peak, size)
 
 
 # ------------------------------------------------------------ golden pipeline

@@ -2,6 +2,7 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from rlready.records import (
     Label,
     RecordStore,
     SamplingTask,
-    aggregate_genloss,
     dump,
     file_sha256,
     genloss_by_checkpoint,
@@ -94,6 +94,17 @@ class TestLoad:
         path.write_text('{"checkpoint_id":"m1","post_rl_pass1":0.5}\n\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: empty line"):
             load("labels", path)
+
+    def test_a_byte_that_is_not_utf8_is_reported_at_its_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        # the reader reads text, where \r\n and a lone \r also end a line
+        path.write_bytes(b'{"checkpoint_id":"a","post_rl_pass1":0.5}\r\n'
+                         b'{"checkpoint_id":"b","post_rl_pass1":0.5}\r'
+                         b'{"checkpoint_id":"c","post_rl_pass1":0.5}\n'
+                         b'{"checkpoint_id":"\xff","post_rl_pass1":0.5}\n')
+        with pytest.raises(ValueError) as exc:
+            load("labels", path)
+        assert str(exc.value) == f"{path}: line 4: not valid UTF-8"
 
     def test_iter_records_streams_and_stops_at_the_bad_line(self, tmp_path):
         path = write_lines(
@@ -230,33 +241,119 @@ def test_schema_table_matches_the_reference_parsers(case):
         assert named in old_error and named in new_error.split("line 1: ", 1)[1]
 
 
+# ------------------------------------------------- the one-hash-per-key index
+
+
+def _planted_line(kind, checkpoint, i, salt):
+    """Line i of a samples or genloss file; the key depends on checkpoint and i
+    only, so lines with another salt differ outside the key."""
+    if kind == "samples":
+        row = {"checkpoint_id": checkpoint, "benchmark": "b", "task_id": f"t{i // 3}",
+               "sample_index": i % 3, "text": f"x{salt}"}
+    else:
+        row = {"checkpoint_id": checkpoint, "example_id": f"e{i}", "nll_sum": salt / 4,
+               "token_count": 1 + salt}
+    return json.dumps(row)
+
+
+PLANTS = ("adjacent", "far apart", "other checkpoint", "after a malformed line")
+
+
+@st.composite
+def planted_duplicate_files(draw):
+    """A samples or genloss file of distinct keys with up to three planted lines:
+    a duplicate right after its first line or further on, the same key under
+    another checkpoint (not a duplicate), or a malformed line and then a
+    duplicate after it."""
+    kind = draw(st.sampled_from(["samples", "genloss"]))
+    n = draw(st.integers(1, 30))
+    lines = [_planted_line(kind, "m1", i, i) for i in range(n)]
+    for plant in draw(st.lists(st.sampled_from(PLANTS), max_size=3)):
+        i = draw(st.integers(0, n - 1))
+        first = lines.index(_planted_line(kind, "m1", i, i))
+        salt = draw(st.integers(0, 99))
+        if plant == "adjacent":
+            lines.insert(first + 1, _planted_line(kind, "m1", i, salt))
+        elif plant == "far apart":
+            at = draw(st.integers(first + 1, len(lines)))
+            lines.insert(at, _planted_line(kind, "m1", i, salt))
+        elif plant == "other checkpoint":
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, _planted_line(kind, "m2", i, salt))
+        else:
+            at = draw(st.integers(first + 1, len(lines)))
+            lines[at:at] = ['{"checkpoint_id": "m1",', _planted_line(kind, "m1", i, salt)]
+    return kind, lines
+
+
+def _few_buckets(key):
+    """A hash with three values, so most keys collide with some earlier key."""
+    return len(repr(key)) % 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_duplicate_files(), st.booleans())
+def test_hash_index_matches_the_key_index(case, coarse):
+    kind, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(Path(tmp) / f"{kind}.jsonl", lines)
+        expected = _error_of(lambda: list(reference.iter_records(kind, path)))
+        if coarse:
+            with mock.patch.object(records, "hash", _few_buckets, create=True):
+                got = _error_of(lambda: load(kind, path))
+        else:
+            got = _error_of(lambda: load(kind, path))
+    assert got == expected
+
+
+def test_a_file_whose_keys_all_collide_loads_and_names_the_true_first_line(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(records, "hash", lambda key: 0, raising=False)
+    lines = [_planted_line("samples", "m1", i, i) for i in range(40)]
+    path = write_lines(tmp_path / "samples.jsonl", lines)
+    loaded = load("samples", path)
+    assert len(loaded) == 40 and loaded == list(reference.iter_records("samples", path))
+    # line 18 holds i = 17: a duplicate of it after every other key names line 18
+    write_lines(path, lines + [_planted_line("samples", "m1", 17, 99)])
+    with pytest.raises(ValueError) as exc:
+        load("samples", path)
+    assert str(exc.value) == (
+        f"{path}: line 41: duplicate samples key ('m1', 'b', 't5', 2) (first seen at line 18)")
+
+
+def _scalar(records, mode="token_weighted"):
+    """The one checkpoint's loss from genloss_by_checkpoint."""
+    (value,) = genloss_by_checkpoint(records, mode).values()
+    return value
+
+
 class TestAggregateGenloss:
     def test_token_weighted(self):
         records = [GenLossRecord("m1", "a", 10, 10), GenLossRecord("m1", "b", 0, 10)]
-        assert aggregate_genloss(records, "token_weighted") == 0.5
+        assert _scalar(records, "token_weighted") == 0.5
 
     def test_per_example_same_here(self):
         records = [GenLossRecord("m1", "a", 10, 10), GenLossRecord("m1", "b", 0, 10)]
-        assert aggregate_genloss(records, "per_example") == 0.5
+        assert _scalar(records, "per_example") == 0.5
 
     def test_modes_differ(self):
         records = [GenLossRecord("m1", "a", 2, 1), GenLossRecord("m1", "b", 2, 3)]
-        assert aggregate_genloss(records, "token_weighted") == pytest.approx(1.0)
-        assert aggregate_genloss(records, "per_example") == pytest.approx(4 / 3)
+        assert _scalar(records, "token_weighted") == pytest.approx(1.0)
+        assert _scalar(records, "per_example") == pytest.approx(4 / 3)
 
     def test_token_weighted_split_invariant(self):
         whole = [GenLossRecord("m1", "a", 9.0, 12)]
         split = [GenLossRecord("m1", "a1", 4.0, 5), GenLossRecord("m1", "a2", 5.0, 7)]
-        assert aggregate_genloss(whole) == pytest.approx(aggregate_genloss(split), abs=1e-12)
+        assert _scalar(whole) == pytest.approx(_scalar(split), abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no genloss"):
-            aggregate_genloss([])
+    def test_empty_stream_gives_no_checkpoints(self):
+        assert genloss_by_checkpoint([]) == {}
+        assert genloss_by_checkpoint([], "per_example") == {}
 
-    def test_mixed_checkpoints_rejected(self):
-        records = [GenLossRecord("m1", "a", 1, 1), GenLossRecord("m2", "b", 1, 1)]
-        with pytest.raises(ValueError, match="multiple checkpoints"):
-            aggregate_genloss(records)
+    def test_mixed_checkpoints_give_one_loss_each(self):
+        records = [GenLossRecord("m2", "a", 1, 1), GenLossRecord("m1", "b", 3, 2)]
+        assert genloss_by_checkpoint(records) == {"m1": 1.5, "m2": 1.0}
 
     def test_one_pass_over_interleaved_checkpoints_keeps_the_formulas_bits(self):
         rng = random.Random(13)
@@ -277,7 +374,7 @@ class TestAggregateGenloss:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be"):
-            aggregate_genloss([GenLossRecord("m1", "a", 1, 1)], "median")
+            genloss_by_checkpoint([GenLossRecord("m1", "a", 1, 1)], "median")
         with pytest.raises(ValueError, match="mode must be"):
             genloss_by_checkpoint([], "median")
 
