@@ -41,7 +41,7 @@ from .records import (
     dump,
     file_sha256,
     finite_float,
-    genloss_by_checkpoint,
+    genloss_file_by_checkpoint,
     iter_records,
     load,
     read_json,
@@ -188,8 +188,9 @@ def cmd_passk(args) -> None:
     for o in outcomes:
         by_checkpoint.setdefault(o.checkpoint_id, []).append(o)
     rows = []
+    curves: dict = {}  # one Pass@k curve per distinct (n, c) for every checkpoint
     for ckpt, outs in sorted(by_checkpoint.items()):
-        metrics = aggregate(outs, ks, mode=args.agg)
+        metrics = aggregate(outs, ks, mode=args.agg, curves=curves)
         rows.append(
             {
                 "checkpoint_id": ckpt,
@@ -212,7 +213,7 @@ def cmd_passk(args) -> None:
 
 
 def cmd_genloss(args) -> None:
-    scalars = genloss_by_checkpoint(iter_records("genloss", args.records), mode=args.mode)
+    scalars = genloss_file_by_checkpoint(args.records, mode=args.mode)
     payload = {
         "metadata": _metadata("genloss", {"records": Path(args.records)}, mode=args.mode),
         "gen_loss": scalars,

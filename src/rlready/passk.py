@@ -170,6 +170,8 @@ def aggregate(
     outcomes: Iterable[TaskOutcome],
     ks: Sequence[int],
     mode: str = "macro",
+    *,
+    curves: dict[tuple[int, int, tuple[int, ...]], tuple[float, ...]] | None = None,
 ) -> CheckpointMetrics:
     """Aggregate one checkpoint's task outcomes into benchmark and overall curves.
 
@@ -178,9 +180,11 @@ def aggregate(
     benchmark. Both are computed in sorted (benchmark_id, task_id) order so
     the result is independent of input order.
 
-    Each distinct (n, c) is evaluated once per call, at ks and k=1, and
-    shared by every task that has it. pass1 is the overall curve at k=1,
-    whether or not 1 is in ks.
+    Each distinct (n, c) is evaluated once, at ks and k=1, and shared by
+    every task that has it. The curves are kept in curves, keyed (n, c, ks
+    with 1), if the caller passes a dict, so that calls sharing it evaluate
+    each (n, c) once between them; without one they are kept for this call
+    only. pass1 is the overall curve at k=1, whether or not 1 is in ks.
     """
     outs = sorted(outcomes, key=lambda o: (o.benchmark_id, o.task_id))
     if not outs:
@@ -203,15 +207,16 @@ def aggregate(
     # every curve also holds k=1, dropped from the reported curves if not asked
     ks1 = ks if ks[0] == 1 else (1, *ks)
     drop = len(ks1) - len(ks)
-    # one curve per distinct (n, c), kept for this call only; every n is at
-    # least max k (checked above), so pass_curve cannot raise here
-    values_by_nc: dict[tuple[int, int], tuple[float, ...]] = {}
+    # one curve per distinct (n, c); every n is at least max k (checked
+    # above), so pass_curve cannot raise here
+    if curves is None:
+        curves = {}
     for o in outs:
-        if (o.n, o.c) not in values_by_nc:
-            values_by_nc[o.n, o.c] = pass_curve(o, ks1).values
+        if (o.n, o.c, ks1) not in curves:
+            curves[o.n, o.c, ks1] = pass_curve(o, ks1).values
 
     def mean_curve(tasks: Iterable[TaskOutcome]) -> list[float]:
-        return [_mean(column) for column in zip(*(values_by_nc[o.n, o.c] for o in tasks))]
+        return [_mean(column) for column in zip(*(curves[o.n, o.c, ks1] for o in tasks))]
 
     bench_values = {
         bench: mean_curve(tasks)
@@ -271,8 +276,13 @@ def write_metrics_csv(path: Path, rows: list[dict], ks: list[int], metadata: dic
 
 def read_metrics_csv(path: Path) -> list[CheckpointMetrics]:
     """The checkpoints of a metrics CSV, in file order, without gen_loss."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        from .records import undecodable_line  # records imports this module
+
+        raise ValueError(f"{path}: line {undecodable_line(path)}: not valid UTF-8") from None
     rows = [line for line in lines if not line.startswith("#")]
     if not rows:
         raise ValueError(f"{path}: empty metrics file")

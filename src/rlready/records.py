@@ -24,12 +24,25 @@ ignored.
 There is one reader, iter_records, which streams a file's validated records
 and keeps one hash per key for the per-kind uniqueness check; a hash seen
 before is confirmed by reading the file again up to that line, so the check
-stays exact. load is list(iter_records(...)). The commands that read the
-large files fold the stream: genloss keeps one number per record and a
-token total per checkpoint, and verify holds one task group of samples plus
-one (n, c) per task. A file is rejected on its first invalid line, reporting
-the line number and offending field. A number field must be finite: NaN,
-infinities and integers beyond the float range are rejected.
+stays exact. load is list(iter_records(...)). A line is decoded by the JSON
+scanner when it holds one value and JSON whitespace after it; any other line
+goes to json.loads, which gives the value or the error, so a line is read
+and an error worded as json.loads reads and words it. The commands that
+read the large files fold the stream: genloss keeps one number per record
+and a token total per checkpoint, and verify holds one task group of
+samples plus one (n, c) per task. A file is rejected on its first invalid
+line, reporting the line number and offending field. A number field must be
+finite: NaN, infinities and integers beyond the float range are rejected.
+
+The genloss command reads its file with genloss_file_by_checkpoint, which
+cuts a file of 8 MiB or more at line starts into parts of at least 4 MiB,
+one per CPU. This process folds the first part and forked workers fold the
+rest, each with iter_records' line checks and genloss_by_checkpoint's fold;
+the parts' columns join in file order, so the report keeps its bits. Only
+fork starts workers, since they must hash keys with this process's hash
+secret; without it the file is folded here. An invalid line, a key hash
+seen twice or a worker that fails sends the whole file through the serial
+fold, which reports the error at its line.
 
 The store is append-only with a manifest tracking per-file line counts and
 whole-file sha256 hashes, so every derived number can be audited back to raw
@@ -43,6 +56,8 @@ import hashlib
 import json
 import math
 import os
+import threading
+from array import array
 from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -199,29 +214,50 @@ def _field_values(checks: tuple[tuple, ...], obj: dict) -> list:
     return values
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _json_object(line: str) -> dict:
+    """The JSON object on one line, as json.loads reads it, or a ValueError
+    saying that the line is empty, not JSON or not an object."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end < 0 or line[end:].strip(" \t\n\r"):
+        # what the scanner could not take whole, json.loads decides and words
+        if not line.strip():
+            raise ValueError("empty line")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    return obj
+
+
+def _parse(line: str, spec: _Schema) -> tuple[list, Any]:
+    """(field values in file order, record) of one line, or a ValueError."""
+    values = _field_values(spec.checks, _json_object(line))
+    order = spec.order
+    return values, spec.cls(*values) if order is None else spec.cls(*[values[i] for i in order])
+
+
 def _rows(path: str | Path, spec: _Schema) -> Iterator[tuple[int, tuple, Any]]:
     """Yield (line number, key, record) for each line of a JSONL file, in file
     order, raising on the first malformed line or schema violation."""
-    cls, checks, key_len, order = spec.cls, spec.checks, spec.key_len, spec.order
+    key_len = spec.key_len
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise ValueError(f"{path}: line {lineno}: empty line")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-            try:
-                values = _field_values(checks, obj)
-                record = cls(*values) if order is None else cls(*[values[i] for i in order])
+                values, record = _parse(line, spec)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             yield lineno, tuple(values[:key_len]), record
 
 
-def _undecodable_line(path: str | Path) -> int:
+def undecodable_line(path: str | Path) -> int:
     """The number of the first line of path that is not valid UTF-8, its lines
     split as the text-mode reader splits them."""
     # surrogateescape turns each byte that does not decode into a lone
@@ -270,7 +306,7 @@ def iter_records(kind: str, path: str | Path) -> Iterator:
             hashes.add(digest)
             yield record
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: line {_undecodable_line(path)}: not valid UTF-8") from None
+        raise ValueError(f"{path}: line {undecodable_line(path)}: not valid UTF-8") from None
 
 
 def load(kind: str, path: str | Path) -> list:
@@ -299,6 +335,36 @@ def dump(kind: str, records: Iterable[Any], path: str | Path) -> int:
     return count
 
 
+def _fold_genloss(records: Iterable[GenLossRecord], weighted: bool) -> dict[str, list]:
+    """checkpoint -> [nll_sum column, token_count total], in input order;
+    per_example (weighted False) keeps the per-example means in the column
+    and leaves the total at 0."""
+    columns: dict[str, list] = {}
+    for r in records:
+        entry = columns.get(r.checkpoint_id)
+        if entry is None:
+            entry = columns[r.checkpoint_id] = [[], 0]
+        if weighted:
+            entry[0].append(r.nll_sum)
+            entry[1] += r.token_count
+        else:
+            entry[0].append(r.nll_sum / r.token_count)
+    return columns
+
+
+def _collapse(columns: dict[str, list], weighted: bool) -> dict[str, float]:
+    if weighted:
+        return {ckpt: sum(nll) / tokens for ckpt, (nll, tokens) in sorted(columns.items())}
+    return {ckpt: sum(means) / len(means) for ckpt, (means, _) in sorted(columns.items())}
+
+
+def _check_mode(mode: str) -> bool:
+    """Whether mode is token_weighted; a ValueError if it is no mode."""
+    if mode not in ("token_weighted", "per_example"):
+        raise ValueError(f"mode must be 'token_weighted' or 'per_example', got {mode!r}")
+    return mode == "token_weighted"
+
+
 def genloss_by_checkpoint(
     records: Iterable[GenLossRecord], mode: str = "token_weighted"
 ) -> dict[str, float]:
@@ -310,26 +376,151 @@ def genloss_by_checkpoint(
     and a running token total are kept, not the records, so records may be a
     stream of any length. Each float sum is the builtin sum of a list in input
     order, and an integer total is exact, so a stream and a list of the same
-    records give the same bits.
+    records give the same bits. genloss_file_by_checkpoint runs this fold on
+    the parts of a large file at once, and joins the parts' columns in file
+    order, so it gives the same bits as well.
     """
-    if mode not in ("token_weighted", "per_example"):
-        raise ValueError(f"mode must be 'token_weighted' or 'per_example', got {mode!r}")
-    # checkpoint -> [nll_sum column, token_count total]; per_example keeps
-    # the per-example means in the column and leaves the total at 0
-    columns: dict[str, list] = {}
-    weighted = mode == "token_weighted"
-    for r in records:
-        entry = columns.get(r.checkpoint_id)
-        if entry is None:
-            entry = columns[r.checkpoint_id] = [[], 0]
-        if weighted:
-            entry[0].append(r.nll_sum)
-            entry[1] += r.token_count
-        else:
-            entry[0].append(r.nll_sum / r.token_count)
-    if weighted:
-        return {ckpt: sum(nll) / tokens for ckpt, (nll, tokens) in sorted(columns.items())}
-    return {ckpt: sum(means) / len(means) for ckpt, (means, _) in sorted(columns.items())}
+    weighted = _check_mode(mode)
+    return _collapse(_fold_genloss(records, weighted), weighted)
+
+
+# a file is cut into parts of at least this many bytes
+_PART_BYTES = 4 << 20
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _cut(path: str | Path, size: int, parts: int) -> list[int]:
+    """[0, ..., size]: the offsets of the lines that start nearest after each
+    of the parts - 1 even cuts of the file, without repeats."""
+    bounds = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, parts):
+            fh.seek(i * size // parts - 1)
+            fh.readline()
+            at = fh.tell()
+            if bounds[-1] < at < size:
+                bounds.append(at)
+    bounds.append(size)
+    return bounds
+
+
+def _part_records(path: str | Path, start: int, end: int, hashes: set[int]) -> Iterator:
+    """The genloss records on the lines in bytes [start, end) of path, each
+    parsed and validated as iter_records does, with each key's hash added to
+    hashes; a ValueError on any line where the result might differ from
+    iter_records': an invalid line, a key hash seen before, or a carriage
+    return, at which the text reader also ends a line, other than one of a
+    closing \\r\\n."""
+    spec = _SCHEMAS["genloss"]
+    key_len = spec.key_len
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for raw in fh:
+            if b"\r" in raw and not (raw.endswith(b"\r\n") and raw.count(b"\r") == 1):
+                raise ValueError("a line break the text reader makes")
+            values, record = _parse(raw.decode("utf-8"), spec)
+            digest = hash(tuple(values[:key_len]))
+            if digest in hashes:
+                raise ValueError("a key hash seen before")
+            hashes.add(digest)
+            yield record
+            start += len(raw)
+            if start >= end:
+                return
+
+
+def _fold_part(path: str | Path, start: int, end: int, weighted: bool):
+    """(columns, key hashes) of the genloss lines in bytes [start, end) of
+    path, or None where iter_records must decide (see _part_records)."""
+    hashes: set[int] = set()
+    try:
+        return _fold_genloss(_part_records(path, start, end, hashes), weighted), hashes
+    except ValueError:  # UnicodeDecodeError too
+        return None
+
+
+def _fold_part_worker(path: str | Path, start: int, end: int, weighted: bool):
+    """_fold_part in a worker process, its hashes packed for the trip back."""
+    folded = _fold_part(path, start, end, weighted)
+    return None if folded is None else (folded[0], array("q", folded[1]))
+
+
+def _fold_in_parts(path: str | Path, bounds: list[int], weighted: bool) -> dict | None:
+    """The columns of _fold_genloss over the whole file, folded in the parts
+    between bounds, the first here and each other one in a forked worker;
+    None if a part is invalid, a key hash repeats, or a worker fails."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        # fork: a worker hashes the str keys with this process's hash secret
+        with ProcessPoolExecutor(
+            len(bounds) - 2, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            futures = [
+                pool.submit(_fold_part_worker, path, start, end, weighted)
+                for start, end in zip(bounds[1:-1], bounds[2:])
+            ]
+            own = _fold_part(path, bounds[0], bounds[1], weighted)
+            results = [future.result() for future in futures]
+    except (OSError, RuntimeError):  # the pool did not start, or a worker died
+        return None
+    if own is None or None in results:
+        return None
+    columns, seen = own
+    for i, (part_columns, hashes) in enumerate(results):
+        if not seen.isdisjoint(hashes):
+            return None
+        if i < len(results) - 1:
+            seen.update(hashes)
+        for ckpt, (column, tokens) in part_columns.items():
+            entry = columns.get(ckpt)
+            if entry is None:
+                columns[ckpt] = [column, tokens]
+            else:
+                entry[0] += column
+                entry[1] += tokens
+    return columns
+
+
+def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -> dict[str, float]:
+    """genloss_by_checkpoint(iter_records("genloss", path), mode), with a
+    large file folded in parts on separate CPUs.
+
+    The file is cut at line starts into min(usable CPUs, size // 4 MiB)
+    parts. This process folds the first while forked workers fold the rest,
+    each with iter_records' per-line parse and validation and
+    genloss_by_checkpoint's fold. Each part's columns are joined in file
+    order, so every sum sees the list of the serial fold and gives its bits.
+    Each part keeps one hash per key, and the parts' hashes must not meet.
+
+    With fewer than two parts, without fork (the workers must hash the keys
+    with this process's hash secret), or with other threads running, which
+    fork cannot take along safely, the file is folded here. Wherever a part
+    cannot vouch for the serial result, the serial fold runs instead: on an
+    invalid line, a key hash seen twice, a pool that cannot start or a
+    worker that dies. So every error is the one iter_records gives, with
+    its line number, and a hash collision is confirmed as it confirms one.
+    """
+    weighted = _check_mode(mode)
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        size = 0  # the serial read reports it
+    parts = min(_usable_cpus(), size // _PART_BYTES)
+    if parts >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        bounds = _cut(path, size, parts)
+        if len(bounds) > 2:
+            columns = _fold_in_parts(path, bounds, weighted)
+            if columns is not None:
+                return _collapse(columns, weighted)
+    return genloss_by_checkpoint(iter_records("genloss", path), mode)
 
 
 def _sha256_of(path: str | Path):

@@ -79,7 +79,8 @@ class EvalProtocolResult:
 def _sum_sq(deviations: Iterable[float]) -> float:
     """Sum of the squared deviations; ValueError if it overflows the float range."""
     try:
-        total = sum(d ** 2 for d in deviations)
+        # a list, not a generator: the same terms in the same order, so the same bits
+        total = sum([d ** 2 for d in deviations])
     except OverflowError:  # a float ** raises where * would give inf
         total = math.inf
     if math.isinf(total):

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import reference_records as reference
+from rlready import cli, passk
 from rlready.cli import main
-from rlready.passk import METRICS_CSV_MARKER
-from rlready.records import load
+from rlready.passk import METRICS_CSV_MARKER, TaskOutcome
+from rlready.records import dump, load
 from rlready.stats import LabeledPoint, repeated_split_eval, repeated_split_eval_combined
 
 K = 64
@@ -432,6 +433,50 @@ def test_collect_config_that_is_not_utf8_exits_one_with_one_error_line(inputs, c
     assert capsys.readouterr().err.splitlines() == [
         f"error: validation: {config}: not valid UTF-8"]
     assert not (inputs["dir"] / "store").exists()
+
+
+def test_a_metrics_csv_that_is_not_utf8_exits_one_naming_its_line(inputs, capsys):
+    metrics = inputs["metrics"]
+    lines = metrics.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b"ckpt-a", b"ckpt-\xff")  # the first checkpoint row
+    metrics.write_bytes(b"".join(lines))
+    argv = ["rank", "--metrics", str(metrics), "--k", str(K), "--out", str(inputs["dir"] / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: validation: {metrics}: line 4: not valid UTF-8"]
+
+
+@pytest.mark.parametrize("agg", ["macro", "micro"])
+def test_passk_evaluates_each_distinct_n_c_once_across_checkpoints(tmp_path, monkeypatch, agg):
+    rng = random.Random(17)
+    outcomes = [
+        TaskOutcome(f"ckpt-{ck}", bench, f"t{t}", n=rng.choice((16, 20)), c=rng.randint(0, 6))
+        for ck in range(6) for bench in "AB" for t in range(20)
+    ]
+    path = tmp_path / "outcomes.jsonl"
+    dump("outcomes", outcomes, path)
+    calls = []
+    pass_curve = passk.pass_curve
+
+    def counting(outcome, ks):
+        calls.append((outcome.n, outcome.c))
+        return pass_curve(outcome, ks)
+
+    def run(out):
+        argv = ["passk", "--outcomes", str(path), "--out", str(out), "--ks", "2,8,16", "--agg", agg]
+        assert main(argv) == 0
+
+    monkeypatch.setattr(passk, "pass_curve", counting)
+    run(tmp_path / "shared.csv")
+    distinct = sorted({(o.n, o.c) for o in outcomes})
+    assert sorted(calls) == distinct
+    # each checkpoint with curves of its own, as before they were shared
+    monkeypatch.setattr(
+        cli, "aggregate", lambda outs, ks, mode, curves: passk.aggregate(outs, ks, mode=mode))
+    calls.clear()
+    run(tmp_path / "own.csv")
+    assert len(calls) > len(distinct)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
 
 
 # ---------------------------------------------------------- genloss streaming

@@ -134,6 +134,39 @@ class TestLoad:
         assert sample.finish_reason == "length"
 
 
+LABEL_LINE = '{"checkpoint_id":"m2","post_rl_pass1":0.25}'
+# case -> the bytes after a valid first line; the reader decodes with the JSON
+# scanner what json.loads would accept, and leaves every other line to it
+EDGE_LINES = {
+    "leading space": b" " + LABEL_LINE.encode() + b"\n",
+    "BOM": "\ufeff".encode() + LABEL_LINE.encode() + b"\n",
+    "trailing data": LABEL_LINE.encode() + b" x\n",
+    "trailing JSON whitespace": LABEL_LINE.encode() + b" \t \n",
+    "\\r before trailing whitespace": LABEL_LINE.encode() + b" \r \n",
+    "\\r\\n": LABEL_LINE.encode() + b"\r\n",
+    "no final newline": LABEL_LINE.encode(),
+    "\\x0c after the object": LABEL_LINE.encode() + b"\x0c\n",
+    "\\x0c alone": b"\x0c\n",
+    "U+2028 after the object": LABEL_LINE.encode() + "\u2028".encode() + b"\n",
+    "U+2028 alone": "\u2028".encode() + b"\n",
+    "two objects on one line": (LABEL_LINE + LABEL_LINE).encode() + b"\n",
+    "blank line": b"\n",
+    "spaces only": b"   \n",
+    "not an object": b"[1, 2]\n",
+    "a value cut short": b'{"checkpoint_id": }\n',
+    "an object cut short": b'{"checkpoint_id": "m2"\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_LINES))
+def test_an_edge_line_reads_as_json_loads_reads_it(case, tmp_path):
+    path = tmp_path / "labels.jsonl"
+    path.write_bytes(b'{"checkpoint_id":"m1","post_rl_pass1":0.5}\n' + EDGE_LINES[case])
+    # the reader of the earlier revision, which gave every line to json.loads
+    expected = _error_of(lambda: list(reference.iter_records("labels", path)))
+    assert _error_of(lambda: load("labels", path)) == expected
+
+
 KIND_EXAMPLES = {
     "samples": [
         Sample("m1", "b1", "t1", 0, "some text"),
