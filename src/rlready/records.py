@@ -35,14 +35,14 @@ line, reporting the line number and offending field. A number field must be
 finite: NaN, infinities and integers beyond the float range are rejected.
 
 The genloss command reads its file with genloss_file_by_checkpoint, which
-cuts a file of 8 MiB or more at line starts into parts of at least 4 MiB,
-one per CPU. This process folds the first part and forked workers fold the
-rest, each with iter_records' line checks and genloss_by_checkpoint's fold;
-the parts' columns join in file order, so the report keeps its bits. Only
-fork starts workers, since they must hash keys with this process's hash
-secret; without it the file is folded here. An invalid line, a key hash
-seen twice or a worker that fails sends the whole file through the serial
-fold, which reports the error at its line.
+folds whole lines 64 KiB at a time: a chunk of canonical lines (one compiled
+pattern) column by column, any other chunk line by line with iter_records'
+checks. A file of 8 MiB or more is cut at line starts into parts of at
+least 4 MiB, one per CPU; this process folds the first part and workers
+started by fork, which hash keys with this process's hash secret, fold the
+rest. The columns join in file order, so the report keeps its bits. An
+invalid line, a key hash seen twice or a worker that fails sends the whole
+file through the serial fold, which reports the error at its line.
 
 The store is append-only with a manifest tracking per-file line counts and
 whole-file sha256 hashes, so every derived number can be audited back to raw
@@ -53,13 +53,17 @@ append costs the bytes it writes, not the size of the file.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import threading
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, fields
+from itertools import groupby
+from operator import truediv
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
@@ -343,7 +347,7 @@ def _fold_genloss(records: Iterable[GenLossRecord], weighted: bool) -> dict[str,
     for r in records:
         entry = columns.get(r.checkpoint_id)
         if entry is None:
-            entry = columns[r.checkpoint_id] = [[], 0]
+            entry = columns[r.checkpoint_id] = [array("d"), 0]
         if weighted:
             entry[0].append(r.nll_sum)
             entry[1] += r.token_count
@@ -372,13 +376,13 @@ def genloss_by_checkpoint(
 
     token_weighted (default) is sum(nll_sum)/sum(token_count), the corpus
     mean per-token NLL a trainer reports as validation loss; per_example is
-    the unweighted mean of per-example means. Only a column of nll_sum values
-    and a running token total are kept, not the records, so records may be a
-    stream of any length. Each float sum is the builtin sum of a list in input
-    order, and an integer total is exact, so a stream and a list of the same
-    records give the same bits. genloss_file_by_checkpoint runs this fold on
-    the parts of a large file at once, and joins the parts' columns in file
-    order, so it gives the same bits as well.
+    the unweighted mean of per-example means. Only an array('d') column of
+    nll_sum values and a running token total are kept, not the records, so
+    records may be a stream of any length. Each float sum is the builtin sum
+    of the column in input order, and an integer total is exact, so a stream
+    and a list of the same records give the same bits.
+    genloss_file_by_checkpoint builds the same columns from a file in chunks
+    and parts, in file order, so it gives the same bits as well.
     """
     weighted = _check_mode(mode)
     return _collapse(_fold_genloss(records, weighted), weighted)
@@ -410,39 +414,84 @@ def _cut(path: str | Path, size: int, parts: int) -> list[int]:
     return bounds
 
 
-def _part_records(path: str | Path, start: int, end: int, hashes: set[int]) -> Iterator:
-    """The genloss records on the lines in bytes [start, end) of path, each
-    parsed and validated as iter_records does, with each key's hash added to
-    hashes; a ValueError on any line where the result might differ from
-    iter_records': an invalid line, a key hash seen before, or a carriage
-    return, at which the text reader also ends a line, other than one of a
-    closing \\r\\n."""
-    spec = _SCHEMAS["genloss"]
-    key_len = spec.key_len
+# one canonical genloss line: the fields in file order, JSON spaces and tabs
+# around tokens; each group is a field's text, which str, float and int read
+# as JSON and the record's checks do (no escape or control character in an
+# id, an unsigned number whose float is finite, a count in [1, 10**18))
+_VALUE = {
+    "string": r'"([^"\\\x00-\x1f]+)"',
+    "number": r"((?:0|[1-9][0-9]{0,99})(?:\.[0-9]{1,100})?(?:[eE][-+]?[0-9]{1,2})?)",
+    "integer": r"([1-9][0-9]{0,17})",
+}
+_GENLOSS_LINE = re.compile(r"^[ \t]*\{%s\}[ \t]*(?:\r?\n|\Z)" % ",".join(
+    rf'[ \t]*"{check[0]}"[ \t]*:[ \t]*{_VALUE[check[-1]]}[ \t]*'
+    for check in _SCHEMAS["genloss"].checks
+), re.MULTILINE)
+_CHUNK_BYTES = 1 << 16
+
+
+def _chunks(path: str | Path, start: int, end: int) -> Iterator[bytes]:
+    """The whole lines in bytes [start, end) of path, about 64 KiB at a time."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        for raw in fh:
-            if b"\r" in raw and not (raw.endswith(b"\r\n") and raw.count(b"\r") == 1):
-                raise ValueError("a line break the text reader makes")
-            values, record = _parse(raw.decode("utf-8"), spec)
-            digest = hash(tuple(values[:key_len]))
-            if digest in hashes:
-                raise ValueError("a key hash seen before")
-            hashes.add(digest)
-            yield record
-            start += len(raw)
-            if start >= end:
-                return
+        rest = b""
+        while start < end:
+            data = fh.read(min(_CHUNK_BYTES, end - start))
+            if not data:
+                raise ValueError(f"{path}: changed while it was read")
+            start += len(data)
+            data = rest + data
+            cut = data.rfind(b"\n") + 1 if start < end else len(data)
+            rest = data[cut:]
+            if cut:
+                yield data[:cut]
+
+
+def _parsed_rows(chunk: bytes, spec: _Schema) -> Iterator[list]:
+    """The field values of each line of chunk, as iter_records reads them; a
+    ValueError also on a \\r, at which the text reader ends a line, that
+    does not close a \\r\\n."""
+    for raw in io.BytesIO(chunk):
+        if b"\r" in raw and not (raw.endswith(b"\r\n") and raw.count(b"\r") == 1):
+            raise ValueError("a line break the text reader makes")
+        yield _parse(raw.decode("utf-8"), spec)[0]
 
 
 def _fold_part(path: str | Path, start: int, end: int, weighted: bool):
-    """(columns, key hashes) of the genloss lines in bytes [start, end) of
-    path, or None where iter_records must decide (see _part_records)."""
+    """(_fold_genloss's columns, key hashes) of the genloss lines in bytes
+    [start, end) of path, a chunk of canonical lines column by column and any
+    other chunk line by line; None where iter_records must decide: an invalid
+    line, a key hash seen before, or a line break _parsed_rows refuses."""
+    columns: dict[str, list] = {}
     hashes: set[int] = set()
     try:
-        return _fold_genloss(_part_records(path, start, end, hashes), weighted), hashes
-    except ValueError:  # UnicodeDecodeError too
+        for chunk in _chunks(path, start, end):
+            text = chunk.decode("utf-8")
+            rows = _GENLOSS_LINE.findall(text)
+            if len(rows) == text.count("\n") + (not text.endswith("\n")):
+                ckpts, examples, nlls, tokens = zip(*rows)
+                nlls, tokens = list(map(float, nlls)), list(map(int, tokens))
+            else:
+                ckpts, examples, nlls, tokens = zip(*_parsed_rows(chunk, _SCHEMAS["genloss"]))
+            seen = len(hashes)
+            hashes.update(map(hash, zip(ckpts, examples)))
+            if len(hashes) != seen + len(ckpts):
+                return None
+            at = 0
+            for ckpt, run in groupby(ckpts):
+                stop = at + len(list(run))
+                entry = columns.get(ckpt)
+                if entry is None:
+                    entry = columns[ckpt] = [array("d"), 0]
+                if weighted:
+                    entry[0].extend(nlls[at:stop])
+                    entry[1] += sum(tokens[at:stop])
+                else:
+                    entry[0].extend(map(truediv, nlls[at:stop], tokens[at:stop]))
+                at = stop
+    except (OSError, ValueError):  # UnicodeDecodeError too
         return None
+    return columns, hashes
 
 
 def _fold_part_worker(path: str | Path, start: int, end: int, weighted: bool):
@@ -490,37 +539,41 @@ def _fold_in_parts(path: str | Path, bounds: list[int], weighted: bool) -> dict 
 
 
 def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -> dict[str, float]:
-    """genloss_by_checkpoint(iter_records("genloss", path), mode), with a
-    large file folded in parts on separate CPUs.
+    """genloss_by_checkpoint(iter_records("genloss", path), mode), folded in
+    64 KiB chunks, and a large file in parts on separate CPUs.
 
-    The file is cut at line starts into min(usable CPUs, size // 4 MiB)
-    parts. This process folds the first while forked workers fold the rest,
-    each with iter_records' per-line parse and validation and
-    genloss_by_checkpoint's fold. Each part's columns are joined in file
-    order, so every sum sees the list of the serial fold and gives its bits.
-    Each part keeps one hash per key, and the parts' hashes must not meet.
+    A chunk whose every line matches _GENLOSS_LINE is folded column by
+    column; any other chunk (keys reordered, an escaped id, an extra field)
+    line by line through iter_records' parse and validation. The file is
+    cut at line starts into min(usable CPUs, size // 4 MiB) parts; this
+    process folds the first while forked workers fold the rest. The columns
+    join in file order, so every sum sees the serial fold's values in its
+    order and gives its bits. The parts' key hashes must not meet.
 
     With fewer than two parts, without fork (the workers must hash the keys
     with this process's hash secret), or with other threads running, which
-    fork cannot take along safely, the file is folded here. Wherever a part
-    cannot vouch for the serial result, the serial fold runs instead: on an
-    invalid line, a key hash seen twice, a pool that cannot start or a
-    worker that dies. So every error is the one iter_records gives, with
-    its line number, and a hash collision is confirmed as it confirms one.
+    fork cannot take along safely, the chunk fold runs here alone. Wherever
+    it cannot vouch for the serial result, the serial fold runs instead: on
+    an invalid line, a key hash seen twice, a \\r that does not close a
+    \\r\\n, a pool that cannot start or a worker that dies. So every error
+    is the one iter_records gives, with its line number, and a hash
+    collision is confirmed as it confirms one.
     """
     weighted = _check_mode(mode)
-    try:
+    columns = None
+    if os.path.isfile(path):
         size = os.path.getsize(path)
-    except OSError:
-        size = 0  # the serial read reports it
-    parts = min(_usable_cpus(), size // _PART_BYTES)
-    if parts >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        bounds = _cut(path, size, parts)
+        parts = min(_usable_cpus(), size // _PART_BYTES)
+        parallel = parts >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+        bounds = _cut(path, size, parts) if parallel else [0, size]
         if len(bounds) > 2:
             columns = _fold_in_parts(path, bounds, weighted)
-            if columns is not None:
-                return _collapse(columns, weighted)
-    return genloss_by_checkpoint(iter_records("genloss", path), mode)
+        else:
+            folded = _fold_part(path, 0, size, weighted)
+            columns = folded and folded[0]
+    if columns is None:
+        return genloss_by_checkpoint(iter_records("genloss", path), mode)
+    return _collapse(columns, weighted)
 
 
 def _sha256_of(path: str | Path):
@@ -635,12 +688,6 @@ class RecordStore:
         }
         self._write_manifest()
         return len(records)
-
-    def load(self, kind: str) -> list:
-        path = self.path(kind)
-        if not path.exists():
-            return []
-        return load(kind, path)
 
     def set_metadata(self, key: str, value: Any) -> None:
         self._manifest["metadata"][key] = value

@@ -3,7 +3,7 @@
 The centerpiece is repeated_split_eval: draw a fitting subset uniformly at
 random, fit a line on it, score R-squared on the held-out remainder, and
 repeat. Each repeat derives its RNG from (seed, repeat index), so the whole
-protocol is reproducible from the seed alone.
+protocol is reproducible from the seed alone; predictors share the draws.
 
 R-squared here is prediction quality on held-out points, 1 - SS_res/SS_tot
 around the holdout mean. It can be negative (a fit worse than predicting the
@@ -20,6 +20,7 @@ ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -214,6 +215,17 @@ def _repeat_rng(seed: int, repeat_index: int) -> random.Random:
     return random.Random(f"{seed}:{repeat_index}")
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def _draws(seed: int, m: int, n_fit: int, repeats: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(fit rows, holdout rows) of each repeat, both ascending; drawn once per
+    arguments, so the predictors scored on one protocol share the draws."""
+    draws = []
+    for r in range(repeats):
+        fit = set(_repeat_rng(seed, r).sample(range(m), n_fit))
+        draws.append((tuple(sorted(fit)), tuple(i for i in range(m) if i not in fit)))
+    return tuple(draws)
+
+
 def repeated_split_eval(
     points: Sequence[LabeledPoint],
     n_fit: int,
@@ -276,16 +288,15 @@ def _split_eval(
     ys = [p.y for p in lists[0]]
     columns = [[p.x for p in lst] for lst in lists]
 
-    def one_repeat(r: int) -> float | None:
-        fit_idx = set(_repeat_rng(seed, r).sample(range(m), n_fit))
-        holdout_idx = [i for i in range(m) if i not in fit_idx]
+    def one_repeat(draw: tuple[tuple[int, ...], ...]) -> float | None:
+        fit_rows, holdout_rows = draw
         try:
-            preds = average_fit_predict(columns, ys, sorted(fit_idx), holdout_idx)
+            preds = average_fit_predict(columns, ys, fit_rows, holdout_rows)
         except ValueError:  # some metric's fit values admit no finite line
             return None
-        return _r2([ys[i] for i in holdout_idx], preds)
+        return _r2([ys[i] for i in holdout_rows], preds)
 
-    kept = tuple(v for v in map(one_repeat, range(repeats)) if v is not None)
+    kept = tuple(v for v in map(one_repeat, _draws(seed, m, n_fit, repeats)) if v is not None)
     skipped = repeats - len(kept)
     if not kept:
         raise ValueError(f"all {repeats} repeats drew degenerate splits")

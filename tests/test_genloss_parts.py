@@ -1,9 +1,9 @@
-"""rlready genloss folding its file in parts on separate processes.
+"""rlready genloss folding its file in chunks, and in parts on separate processes.
 
-Each test shrinks the part size and claims three CPUs, so that a file of a
+Most tests shrink the part size and claim three CPUs, so that a file of a
 few hundred lines is cut into three parts: this process folds the first and
 two forked workers fold the rest. The report, and every error line, must be
-the one the in-process fold gives for the same file.
+the one the serial reader (iter_records) gives for the same file.
 """
 
 import concurrent.futures
@@ -14,8 +14,10 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rlready import records
+from rlready import cli, records
 from rlready.cli import main
 
 LINES = 300
@@ -223,4 +225,135 @@ def test_no_pool_is_built_where_the_file_is_folded_here(tmp_path, capsys, monkey
     if reason == "another thread":
         thread.join(timeout=10)
         assert not thread.is_alive()
-    assert ran == {"pools": [], "serial": [str(path)]}
+    # folded here by the chunk fold, which reads no line through iter_records
+    assert ran == {"pools": [], "serial": []}
+
+
+def serial_genloss(path, capsys, monkeypatch, mode="token_weighted"):
+    """genloss(...) with the file read by the serial reader alone."""
+    def serial(path, mode):
+        return records.genloss_by_checkpoint(records.iter_records("genloss", path), mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "genloss_file_by_checkpoint", serial)
+        return genloss(path, capsys, mode)
+
+
+def _no_parse(line, spec):
+    raise AssertionError("a line was parsed one by one")
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_a_canonical_file_is_folded_by_chunks_alone(tmp_path, capsys, monkeypatch, parts):
+    path = tmp_path / "genloss.jsonl"
+    path.write_bytes(b"".join(genloss_lines()))
+    expected = serial_genloss(path, capsys, monkeypatch)
+    assert expected[0] == 0
+    with three_parts(monkeypatch, _parse=_no_parse, _usable_cpus=lambda: parts) as ran:
+        assert genloss(path, capsys) == expected
+    assert ran == {"pools": [2] if parts == 3 else [], "serial": []}
+
+
+def test_a_valid_file_of_other_lines_is_folded_in_parts(tmp_path, capsys, monkeypatch):
+    # keys reordered and escaped ids: valid lines that the chunk pattern misses
+    rng = random.Random(5)
+    lines = [json.dumps({"token_count": rng.randint(1, 99), "nll_sum": rng.uniform(0, 90),
+                         "example_id": f"ex-é{i}", "checkpoint_id": f"ckpt-{i % 4}"}
+                        ).encode() + b"\n" for i in range(LINES)]
+    path = tmp_path / "genloss.jsonl"
+    path.write_bytes(b"".join(lines))
+    for mode in ("token_weighted", "per_example"):
+        expected = serial_genloss(path, capsys, monkeypatch, mode)
+        assert expected[0] == 0
+        with three_parts(monkeypatch) as ran:
+            assert genloss(path, capsys, mode) == expected
+        assert ran == {"pools": [2], "serial": []}
+
+
+def _line(ckpt, example, nll="12.5", tokens="7", ids=json.dumps):
+    return (f'{{"checkpoint_id": {ids(ckpt)}, "example_id": {ids(example)}, '
+            f'"nll_sum": {nll}, "token_count": {tokens}}}')
+
+
+# each takes (checkpoint, example id, a float) and gives one line, no newline
+NEAR_MISSES = {
+    "escaped ids": lambda c, e, x: _line(c + "é", e + "é"),
+    "non-ASCII ids": lambda c, e, x: _line(
+        c + "é", e + "é", ids=lambda v: json.dumps(v, ensure_ascii=False)),
+    "control character in an id": lambda c, e, x: _line(c, e + "\x01", ids=lambda v: f'"{v}"'),
+    "nll_sum -0.0": lambda c, e, x: _line(c, e, "-0.0"),
+    "nll_sum -1.5": lambda c, e, x: _line(c, e, "-1.5"),
+    "nll_sum 1e400": lambda c, e, x: _line(c, e, "1e400"),
+    "nll_sum 01.5": lambda c, e, x: _line(c, e, "01.5"),
+    "integer nll_sum": lambda c, e, x: _line(c, e, "12"),
+    "nll_sum with an exponent": lambda c, e, x: _line(c, e, f"{x:.6e}"),
+    "nll_sum of many digits": lambda c, e, x: _line(c, e, f"1234567890123456789{x:.30f}"),
+    "token_count 0": lambda c, e, x: _line(c, e, tokens="0"),
+    "token_count 1.0": lambda c, e, x: _line(c, e, tokens="1.0"),
+    "token_count true": lambda c, e, x: _line(c, e, tokens="true"),
+    "reordered keys": lambda c, e, x: json.dumps(
+        {"example_id": e, "checkpoint_id": c, "token_count": 3, "nll_sum": x}),
+    "extra key": lambda c, e, x: _line(c, e)[:-1] + ', "extra": [1]}',
+    "duplicated key": lambda c, e, x: _line(c, e)[:-1] + f', "nll_sum": {x!r}}}',
+    "missing key": lambda c, e, x: json.dumps({"checkpoint_id": c, "example_id": e, "nll_sum": x}),
+    "blank line": lambda c, e, x: "",
+    "BOM": lambda c, e, x: "\ufeff" + _line(c, e),
+    "\\r\\n": lambda c, e, x: _line(c, e) + "\r",
+    "lone \\r after the object": lambda c, e, x: _line(c, e) + "\r ",
+    "lone \\r in an id": lambda c, e, x: _line(c, e + "\r", ids=lambda v: f'"{v}"'),
+    "tabs and spaces": lambda c, e, x: "\t " + _line(c, e).replace(": ", " :\t") + " ",
+}
+
+
+@st.composite
+def genloss_files(draw):
+    """(file bytes, chunk size): canonical lines with a few near misses among them."""
+    count = draw(st.integers(1, 40))
+    misses = draw(st.dictionaries(st.integers(0, count - 1),
+                                  st.sampled_from(sorted(NEAR_MISSES) + ["a line again"]),
+                                  max_size=3))
+    lines = []
+    for i in range(count):
+        ckpt, example = f"ckpt-{draw(st.integers(0, 2))}", f"ex-{i}"
+        x = draw(st.floats(0.0, 1e3))
+        case = misses.get(i)
+        if case in NEAR_MISSES:
+            line = NEAR_MISSES[case](ckpt, example, x)
+        elif case == "a line again" and lines:
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+        else:
+            line = _line(ckpt, example, repr(x))
+        lines.append(line)
+    data = "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r"]))
+    return data.encode("utf-8"), draw(st.sampled_from([96, 1 << 16]))
+
+
+def assert_serial_outcome(path, capsys, monkeypatch, chunk_bytes):
+    """The file gives the serial reader's report or error line in both modes,
+    folded here and in three parts, in chunks of chunk_bytes."""
+    for mode in ("token_weighted", "per_example"):
+        expected = serial_genloss(path, capsys, monkeypatch, mode)
+        for parts in (1, 3):
+            with three_parts(monkeypatch, _CHUNK_BYTES=chunk_bytes, _usable_cpus=lambda: parts,
+                             _PART_BYTES=256):
+                assert genloss(path, capsys, mode) == expected, (mode, parts)
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_MISSES) + ["a line again"])
+def test_each_near_miss_gives_the_serial_report_or_error(tmp_path, capsys, monkeypatch, case):
+    lines = [_line(f"ckpt-{i % 3}", f"ex-{i}", repr(i * 1.25)) for i in range(60)]
+    lines[40] = lines[7] if case == "a line again" else NEAR_MISSES[case]("ckpt-1", "ex-40", 3.5)
+    path = tmp_path / "genloss.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    for chunk_bytes in (96, 1 << 16):
+        assert_serial_outcome(path, capsys, monkeypatch, chunk_bytes)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(genloss_files())
+def test_chunk_fold_gives_the_serial_report_or_error(tmp_path, capsys, monkeypatch, case):
+    data, chunk_bytes = case
+    path = tmp_path / "genloss.jsonl"
+    path.write_bytes(data)
+    assert_serial_outcome(path, capsys, monkeypatch, chunk_bytes)

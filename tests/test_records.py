@@ -424,14 +424,14 @@ class TestRecordStore:
         samples = [Sample("m1", "b", "t", i, f"text {i}") for i in range(3)]
         assert store.append("samples", samples) == 3
         assert store.count("samples") == 3
-        assert store.load("samples") == samples
+        assert load("samples", store.path("samples")) == samples
 
     def test_append_only_accumulates(self, tmp_path):
         store = RecordStore(tmp_path / "store")
         store.append("samples", [Sample("m1", "b", "t", 0, "a")])
         store.append("samples", [Sample("m1", "b", "t", 1, "b")])
         assert store.count("samples") == 2
-        assert [s.sample_index for s in store.load("samples")] == [0, 1]
+        assert [s.sample_index for s in load("samples", store.path("samples"))] == [0, 1]
 
     def test_manifest_matches_file(self, tmp_path):
         store = RecordStore(tmp_path / "store")
@@ -467,7 +467,7 @@ class TestRecordStore:
         store = RecordStore(tmp_path / "store")
         assert store.append("samples", []) == 0
         assert store.count("samples") == 0
-        assert store.load("samples") == []
+        assert not store.path("samples").exists()
 
 
     def test_torn_manifest_write_keeps_the_old_manifest(self, tmp_path, monkeypatch):
@@ -523,7 +523,11 @@ def test_running_hash_matches_the_file_after_every_append(batches):
                 assert entry["sha256"] == file_sha256(store.path("samples"))
                 assert entry["count"] == index
             store.verify()
-        assert [s.sample_index for s in store.load("samples")] == list(range(index))
+        if index:
+            loaded = load("samples", store.path("samples"))
+            assert [s.sample_index for s in loaded] == list(range(index))
+        else:
+            assert not store.path("samples").exists()
 
 
 def test_label_validation():

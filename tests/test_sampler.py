@@ -8,7 +8,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from mockserver import _Handler, run_server
-from rlready.records import RecordStore
+from rlready.records import RecordStore, load
 from rlready.sampler import (
     SamplingIncomplete,
     SamplingJob,
@@ -66,7 +66,7 @@ def serve_with(server, handler):
 def stored_keys(store, checkpoint="test-model"):
     return {
         (s.task_id, s.sample_index)
-        for s in store.load("samples")
+        for s in load("samples", store.path("samples"))
         if s.checkpoint_id == checkpoint
     }
 
@@ -84,7 +84,7 @@ class TestSampleCompletions:
             store = RecordStore(tmp_path / "store")
             job = make_job(server.url, n_tasks=1, n=1, prompt_suffix="SUFFIX")
             sample_completions(job, store)
-        (sample,) = store.load("samples")
+        (sample,) = load("samples", store.path("samples"))
         # the mock echoes the first prompt line back inside the box
         assert "problem 0" in sample.text
         assert sample.finish_reason == "stop"
@@ -107,7 +107,7 @@ class TestSampleCompletions:
             # simulate a partial earlier run: drop the samples file back to 4 lines
         with run_server() as server:
             job = make_job(server.url)
-            full = RecordStore(store_root).load("samples")
+            full = load("samples", RecordStore(store_root).path("samples"))
             partial_root = tmp_path / "partial"
             partial = RecordStore(partial_root)
             partial.append("samples", full[:4])
@@ -284,7 +284,7 @@ class TestSampleCompletions:
         assert written == 4
         keys = [
             (s.task_id, s.sample_index)
-            for s in store.load("samples")  # load() enforces key uniqueness
+            for s in load("samples", store.path("samples"))  # load enforces key uniqueness
         ]
         assert sorted(keys) == [(f"t{i}", j) for i in range(3) for j in range(2)]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference_stats
 from rlready.passk import CheckpointMetrics, PassKCurve
+from rlready import stats
 from rlready.predict import calibrate_and_predict, component_value, parse_metric
 from rlready.stats import (
     EvalProtocolResult,
@@ -220,6 +221,24 @@ class TestRepeatedSplitEval:
         a = repeated_split_eval(points, n_fit=8, repeats=40, seed=7)
         b = repeated_split_eval(points, n_fit=8, repeats=40, seed=8)
         assert a.per_repeat_r2 != b.per_repeat_r2
+
+    def test_each_split_is_drawn_once_per_arguments(self, monkeypatch):
+        drawn = []
+        repeat_rng = stats._repeat_rng
+
+        def counting(seed, repeat_index):
+            drawn.append((seed, repeat_index))
+            return repeat_rng(seed, repeat_index)
+
+        monkeypatch.setattr(stats, "_repeat_rng", counting)
+        stats._draws.cache_clear()
+        points = self._noisy_points()
+        first = repeated_split_eval(points, n_fit=8, repeats=40, seed=7)
+        assert repeated_split_eval(points, n_fit=8, repeats=40, seed=7) == first
+        assert repeated_split_eval_combined({"a": points, "b": points}, 8, 40, 7) == first
+        assert drawn == [(7, r) for r in range(40)]
+        repeated_split_eval(points, n_fit=8, repeats=40, seed=8)
+        assert len(drawn) == 80 and drawn[40:] == [(8, r) for r in range(40)]
 
     def test_combined_of_identical_metrics_matches_single(self):
         degenerate = pts((0.0, 0.1), (0.0, 0.2), (0.0, 0.3), (1.0, 0.9), (1.0, 0.8), (1.0, 0.7))
