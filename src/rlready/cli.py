@@ -283,6 +283,7 @@ def cmd_evaluate(args) -> None:
 
     ys = [labels[m.checkpoint_id] for m in labeled]
     results = {}
+    draws: dict = {}  # one set of repeated splits for every predictor
     for name in metric_names:
         predictions = calibrate_and_predict(labeled, labels, name)
         points = {
@@ -294,9 +295,11 @@ def cmd_evaluate(args) -> None:
         }
         if len(points) == 1:
             [single] = points.values()
-            protocol = repeated_split_eval(single, args.n_fit, args.repeats, args.seed)
+            protocol = repeated_split_eval(single, args.n_fit, args.repeats, args.seed, draws=draws)
         else:
-            protocol = repeated_split_eval_combined(points, args.n_fit, args.repeats, args.seed)
+            protocol = repeated_split_eval_combined(
+                points, args.n_fit, args.repeats, args.seed, draws=draws
+            )
         if protocol.skipped:
             print(
                 f"warning: {name}: {protocol.skipped} of {args.repeats} repeats "

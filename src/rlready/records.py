@@ -35,14 +35,13 @@ line, reporting the line number and offending field. A number field must be
 finite: NaN, infinities and integers beyond the float range are rejected.
 
 The genloss command reads its file with genloss_file_by_checkpoint, which
-folds whole lines 64 KiB at a time: a chunk of canonical lines (one compiled
-pattern) column by column, any other chunk line by line with iter_records'
-checks. A file of 8 MiB or more is cut at line starts into parts of at
-least 4 MiB, one per CPU; this process folds the first part and workers
-started by fork, which hash keys with this process's hash secret, fold the
-rest. The columns join in file order, so the report keeps its bits. An
-invalid line, a key hash seen twice or a worker that fails sends the whole
-file through the serial fold, which reports the error at its line.
+folds whole lines 64 KiB at a time: a chunk whose lines all hold the four
+genloss fields alone, in one key order, is read with one pattern match,
+any other chunk with one JSON decode per line, and either is checked and
+folded column by column, with no record built. The columns hold the serial
+fold's values in file order, so the report keeps its bits. An invalid line
+or a key hash seen twice sends the whole file through the serial fold,
+which reports the error at its line.
 
 The store is append-only with a manifest tracking per-file line counts and
 whole-file sha256 hashes, so every derived number can be audited back to raw
@@ -53,17 +52,15 @@ append costs the bytes it writes, not the size of the file.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
 import re
-import threading
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, fields
-from itertools import groupby
-from operator import truediv
+from itertools import chain, groupby, islice
+from operator import eq, truediv
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
@@ -381,102 +378,108 @@ def genloss_by_checkpoint(
     records may be a stream of any length. Each float sum is the builtin sum
     of the column in input order, and an integer total is exact, so a stream
     and a list of the same records give the same bits.
-    genloss_file_by_checkpoint builds the same columns from a file in chunks
-    and parts, in file order, so it gives the same bits as well.
+    genloss_file_by_checkpoint builds the same columns from a file in
+    chunks, in file order, so it gives the same bits as well.
     """
     weighted = _check_mode(mode)
     return _collapse(_fold_genloss(records, weighted), weighted)
 
 
-# a file is cut into parts of at least this many bytes
-_PART_BYTES = 4 << 20
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _cut(path: str | Path, size: int, parts: int) -> list[int]:
-    """[0, ..., size]: the offsets of the lines that start nearest after each
-    of the parts - 1 even cuts of the file, without repeats."""
-    bounds = [0]
-    with open(path, "rb") as fh:
-        for i in range(1, parts):
-            fh.seek(i * size // parts - 1)
-            fh.readline()
-            at = fh.tell()
-            if bounds[-1] < at < size:
-                bounds.append(at)
-    bounds.append(size)
-    return bounds
-
-
-# one canonical genloss line: the fields in file order, JSON spaces and tabs
-# around tokens; each group is a field's text, which str, float and int read
-# as JSON and the record's checks do (no escape or control character in an
-# id, an unsigned number whose float is finite, a count in [1, 10**18))
+# a genloss field's value on a line of the pattern: each group is text that
+# json (for an id with an escape), float and int read as the line's JSON
+# reads, and that the record's checks accept (a nonempty id with no raw
+# control character, an unsigned number whose float is finite, a count in
+# [1, 10**18))
 _VALUE = {
-    "string": r'"([^"\\\x00-\x1f]+)"',
+    "string": r'"((?=[^"])[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"',
     "number": r"((?:0|[1-9][0-9]{0,99})(?:\.[0-9]{1,100})?(?:[eE][-+]?[0-9]{1,2})?)",
     "integer": r"([1-9][0-9]{0,17})",
 }
-_GENLOSS_LINE = re.compile(r"^[ \t]*\{%s\}[ \t]*(?:\r?\n|\Z)" % ",".join(
-    rf'[ \t]*"{check[0]}"[ \t]*:[ \t]*{_VALUE[check[-1]]}[ \t]*'
-    for check in _SCHEMAS["genloss"].checks
-), re.MULTILINE)
+_GENLOSS_TYPES = {check[0]: check[-1] for check in _SCHEMAS["genloss"].checks}
+
+
+def _pattern_columns(text: str) -> list | None:
+    """The checkpoint ids, example ids, nll_sum floats and token_count ints of
+    the lines of text, if each line holds the genloss fields alone, in the
+    order of the first line's, with JSON spaces and tabs around the tokens;
+    else None."""
+    try:
+        names = tuple(_json_object(text[: text.find("\n") + 1 or len(text)]))
+    except ValueError:
+        return None
+    if sorted(names) != sorted(_GENLOSS_TYPES):
+        return None
+    pattern = r"^[ \t]*\{%s\}[ \t]*(?:\r?\n|\Z)" % ",".join(
+        rf'[ \t]*"{name}"[ \t]*:[ \t]*{_VALUE[_GENLOSS_TYPES[name]]}[ \t]*' for name in names
+    )
+    rows = re.findall(pattern, text, re.MULTILINE)  # re keeps the compiled pattern
+    if len(rows) != text.count("\n") + (not text.endswith("\n")):
+        return None
+    columns = dict(zip(names, zip(*rows)))
+    ids = [columns["checkpoint_id"], columns["example_id"]]
+    if "\\" in text:  # some id has an escape: decode each column at once
+        ids = [json.loads('["%s"]' % '","'.join(column)) for column in ids]
+    return [*ids, list(map(float, columns["nll_sum"])), list(map(int, columns["token_count"]))]
+
+
 _CHUNK_BYTES = 1 << 16
 
 
-def _chunks(path: str | Path, start: int, end: int) -> Iterator[bytes]:
-    """The whole lines in bytes [start, end) of path, about 64 KiB at a time."""
+def _chunks(path: str | Path) -> Iterator[bytes]:
+    """The whole lines of path, about 64 KiB at a time."""
     with open(path, "rb") as fh:
-        fh.seek(start)
         rest = b""
-        while start < end:
-            data = fh.read(min(_CHUNK_BYTES, end - start))
-            if not data:
-                raise ValueError(f"{path}: changed while it was read")
-            start += len(data)
+        while data := fh.read(_CHUNK_BYTES):
             data = rest + data
-            cut = data.rfind(b"\n") + 1 if start < end else len(data)
+            cut = data.rfind(b"\n") + 1
             rest = data[cut:]
             if cut:
                 yield data[:cut]
+        if rest:
+            yield rest
 
 
-def _parsed_rows(chunk: bytes, spec: _Schema) -> Iterator[list]:
-    """The field values of each line of chunk, as iter_records reads them; a
-    ValueError also on a \\r, at which the text reader ends a line, that
-    does not close a \\r\\n."""
-    for raw in io.BytesIO(chunk):
-        if b"\r" in raw and not (raw.endswith(b"\r\n") and raw.count(b"\r") == 1):
-            raise ValueError("a line break the text reader makes")
-        yield _parse(raw.decode("utf-8"), spec)[0]
-
-
-def _fold_part(path: str | Path, start: int, end: int, weighted: bool):
-    """(_fold_genloss's columns, key hashes) of the genloss lines in bytes
-    [start, end) of path, a chunk of canonical lines column by column and any
-    other chunk line by line; None where iter_records must decide: an invalid
-    line, a key hash seen before, or a line break _parsed_rows refuses."""
-    columns: dict[str, list] = {}
-    hashes: set[int] = set()
+def _json_columns(text: str) -> list | None:
+    """The columns of _pattern_columns, of lines of text that are each a JSON
+    object holding a valid genloss record, each field checked column by
+    column as _field_values and GenLossRecord check it; None where a line
+    might read otherwise than in iter_records, such as at a \\r that does not
+    close a \\r\\n, where the text reader also ends a line."""
+    if text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.split("\n")[: text.count("\n") + (not text.endswith("\n"))]
     try:
-        for chunk in _chunks(path, start, end):
+        objects = list(map(_json_object, lines))
+    except ValueError:
+        return None
+    ckpts, examples, nlls, tokens = ([o.get(name) for o in objects] for name in _GENLOSS_TYPES)
+    if not (
+        all(v.__class__ is str and v for v in chain(ckpts, examples))
+        and all(v.__class__ in (int, float) for v in nlls)  # a bool is neither
+        and all(v.__class__ is int and v >= 1 for v in tokens)
+    ):
+        return None
+    try:
+        nlls = list(map(float, nlls))
+    except OverflowError:  # an int beyond the float range
+        return None
+    return [ckpts, examples, nlls, tokens] if all(0.0 <= v < math.inf for v in nlls) else None
+
+
+def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
+    """_fold_genloss's columns of the genloss lines of path, each chunk's
+    from _pattern_columns or else _json_columns; None where iter_records
+    must decide: a chunk that neither reads, or a key hash seen twice."""
+    columns: dict[str, list] = {}
+    hashes = array("q")
+    try:
+        for chunk in _chunks(path):
             text = chunk.decode("utf-8")
-            rows = _GENLOSS_LINE.findall(text)
-            if len(rows) == text.count("\n") + (not text.endswith("\n")):
-                ckpts, examples, nlls, tokens = zip(*rows)
-                nlls, tokens = list(map(float, nlls)), list(map(int, tokens))
-            else:
-                ckpts, examples, nlls, tokens = zip(*_parsed_rows(chunk, _SCHEMAS["genloss"]))
-            seen = len(hashes)
-            hashes.update(map(hash, zip(ckpts, examples)))
-            if len(hashes) != seen + len(ckpts):
+            chunk_columns = _pattern_columns(text) or _json_columns(text)
+            if chunk_columns is None:
                 return None
+            ckpts, examples, nlls, tokens = chunk_columns
+            hashes.extend(map(hash, zip(ckpts, examples)))
             at = 0
             for ckpt, run in groupby(ckpts):
                 stop = at + len(list(run))
@@ -491,86 +494,32 @@ def _fold_part(path: str | Path, start: int, end: int, weighted: bool):
                 at = stop
     except (OSError, ValueError):  # UnicodeDecodeError too
         return None
-    return columns, hashes
-
-
-def _fold_part_worker(path: str | Path, start: int, end: int, weighted: bool):
-    """_fold_part in a worker process, its hashes packed for the trip back."""
-    folded = _fold_part(path, start, end, weighted)
-    return None if folded is None else (folded[0], array("q", folded[1]))
-
-
-def _fold_in_parts(path: str | Path, bounds: list[int], weighted: bool) -> dict | None:
-    """The columns of _fold_genloss over the whole file, folded in the parts
-    between bounds, the first here and each other one in a forked worker;
-    None if a part is invalid, a key hash repeats, or a worker fails."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        # fork: a worker hashes the str keys with this process's hash secret
-        with ProcessPoolExecutor(
-            len(bounds) - 2, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            futures = [
-                pool.submit(_fold_part_worker, path, start, end, weighted)
-                for start, end in zip(bounds[1:-1], bounds[2:])
-            ]
-            own = _fold_part(path, bounds[0], bounds[1], weighted)
-            results = [future.result() for future in futures]
-    except (OSError, RuntimeError):  # the pool did not start, or a worker died
+    # the hashes are kept packed and sorted once at the end: a set would keep
+    # an int and a table slot per key alive between the chunks
+    ordered = sorted(hashes)
+    if any(map(eq, ordered, islice(ordered, 1, None))):
         return None
-    if own is None or None in results:
-        return None
-    columns, seen = own
-    for i, (part_columns, hashes) in enumerate(results):
-        if not seen.isdisjoint(hashes):
-            return None
-        if i < len(results) - 1:
-            seen.update(hashes)
-        for ckpt, (column, tokens) in part_columns.items():
-            entry = columns.get(ckpt)
-            if entry is None:
-                columns[ckpt] = [column, tokens]
-            else:
-                entry[0] += column
-                entry[1] += tokens
     return columns
 
 
 def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -> dict[str, float]:
     """genloss_by_checkpoint(iter_records("genloss", path), mode), folded in
-    64 KiB chunks, and a large file in parts on separate CPUs.
+    64 KiB chunks.
 
-    A chunk whose every line matches _GENLOSS_LINE is folded column by
-    column; any other chunk (keys reordered, an escaped id, an extra field)
-    line by line through iter_records' parse and validation. The file is
-    cut at line starts into min(usable CPUs, size // 4 MiB) parts; this
-    process folds the first while forked workers fold the rest. The columns
-    join in file order, so every sum sees the serial fold's values in its
-    order and gives its bits. The parts' key hashes must not meet.
-
-    With fewer than two parts, without fork (the workers must hash the keys
-    with this process's hash secret), or with other threads running, which
-    fork cannot take along safely, the chunk fold runs here alone. Wherever
-    it cannot vouch for the serial result, the serial fold runs instead: on
-    an invalid line, a key hash seen twice, a \\r that does not close a
-    \\r\\n, a pool that cannot start or a worker that dies. So every error
-    is the one iter_records gives, with its line number, and a hash
-    collision is confirmed as it confirms one.
+    A chunk whose lines all hold the genloss fields alone, in the key order
+    of its first line, is read with one pattern match (_pattern_columns);
+    any other chunk (an extra field, keys in mixed orders, a number the
+    pattern leaves to JSON) with one JSON decode per line (_json_columns).
+    Either checks each column as iter_records checks each record, and the
+    columns hold the serial fold's values in file order, so every sum gives
+    its bits. Wherever the chunks cannot vouch for the serial result, the
+    serial fold runs instead: on an invalid line, a key hash seen twice, a
+    \\r that does not close a \\r\\n, or a path that is not a regular file.
+    So every error is the one iter_records gives, with its line number, and
+    a hash collision is confirmed as it confirms one.
     """
     weighted = _check_mode(mode)
-    columns = None
-    if os.path.isfile(path):
-        size = os.path.getsize(path)
-        parts = min(_usable_cpus(), size // _PART_BYTES)
-        parallel = parts >= 2 and hasattr(os, "fork") and threading.active_count() == 1
-        bounds = _cut(path, size, parts) if parallel else [0, size]
-        if len(bounds) > 2:
-            columns = _fold_in_parts(path, bounds, weighted)
-        else:
-            folded = _fold_part(path, 0, size, weighted)
-            columns = folded and folded[0]
+    columns = _fold_chunks(path, weighted) if os.path.isfile(path) else None
     if columns is None:
         return genloss_by_checkpoint(iter_records("genloss", path), mode)
     return _collapse(columns, weighted)

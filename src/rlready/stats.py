@@ -3,7 +3,7 @@
 The centerpiece is repeated_split_eval: draw a fitting subset uniformly at
 random, fit a line on it, score R-squared on the held-out remainder, and
 repeat. Each repeat derives its RNG from (seed, repeat index), so the whole
-protocol is reproducible from the seed alone; predictors share the draws.
+protocol is reproducible from the seed alone.
 
 R-squared here is prediction quality on held-out points, 1 - SS_res/SS_tot
 around the holdout mean. It can be negative (a fit worse than predicting the
@@ -20,11 +20,10 @@ ValueError.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -215,15 +214,11 @@ def _repeat_rng(seed: int, repeat_index: int) -> random.Random:
     return random.Random(f"{seed}:{repeat_index}")
 
 
-@functools.lru_cache(maxsize=4, typed=True)
-def _draws(seed: int, m: int, n_fit: int, repeats: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(fit rows, holdout rows) of each repeat, both ascending; drawn once per
-    arguments, so the predictors scored on one protocol share the draws."""
-    draws = []
+def _draws(seed: int, m: int, n_fit: int, repeats: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(fit rows, holdout rows) of each repeat in turn, both ascending."""
     for r in range(repeats):
         fit = set(_repeat_rng(seed, r).sample(range(m), n_fit))
-        draws.append((tuple(sorted(fit)), tuple(i for i in range(m) if i not in fit)))
-    return tuple(draws)
+        yield sorted(fit), [i for i in range(m) if i not in fit]
 
 
 def repeated_split_eval(
@@ -231,14 +226,19 @@ def repeated_split_eval(
     n_fit: int,
     repeats: int,
     seed: int,
+    *,
+    draws: dict[tuple[int, int, int, int], tuple] | None = None,
 ) -> EvalProtocolResult:
     """Repeat: fit on a random n_fit subset, score R² on the remainder.
 
     The draw sequence is a pure function of (points order, n_fit, repeats,
     seed); callers who want order-independence should sort points by
-    checkpoint_id first (the CLI does).
+    checkpoint_id first (the CLI does). If the caller passes a draws dict,
+    the splits are kept in it, keyed (seed, len(points), n_fit, repeats), so
+    that calls sharing it draw each protocol's splits once between them;
+    without one each repeat's split is drawn, used and dropped.
     """
-    return _split_eval([list(points)], n_fit, repeats, seed)
+    return _split_eval([list(points)], n_fit, repeats, seed, draws)
 
 
 def repeated_split_eval_combined(
@@ -246,6 +246,8 @@ def repeated_split_eval_combined(
     n_fit: int,
     repeats: int,
     seed: int,
+    *,
+    draws: dict[tuple[int, int, int, int], tuple] | None = None,
 ) -> EvalProtocolResult:
     """Repeated-split protocol for an averaged multi-metric predictor.
 
@@ -253,7 +255,8 @@ def repeated_split_eval_combined(
     aligned (same checkpoints, same order, same labels). Each repeat draws
     one fit subset with the same (seed, index) derivation as
     repeated_split_eval, fits each metric on it separately, averages the
-    fits' predictions on the holdout, and scores R² of the averages.
+    fits' predictions on the holdout, and scores R² of the averages. draws
+    is shared with repeated_split_eval's, as there.
     """
     names = sorted(metric_points)
     if len(names) < 2:
@@ -266,7 +269,7 @@ def repeated_split_eval_combined(
                 f"metric {name!r} points are not aligned with {names[0]!r} "
                 "(checkpoints, order and labels must match)"
             )
-    return _split_eval(lists, n_fit, repeats, seed)
+    return _split_eval(lists, n_fit, repeats, seed, draws)
 
 
 def _split_eval(
@@ -274,6 +277,7 @@ def _split_eval(
     n_fit: int,
     repeats: int,
     seed: int,
+    draws: dict[tuple[int, int, int, int], tuple] | None,
 ) -> EvalProtocolResult:
     # lists are aligned point lists, one per metric; the predictor averages
     # their lines, so a single list is the plain one-metric protocol
@@ -288,15 +292,22 @@ def _split_eval(
     ys = [p.y for p in lists[0]]
     columns = [[p.x for p in lst] for lst in lists]
 
-    def one_repeat(draw: tuple[tuple[int, ...], ...]) -> float | None:
-        fit_rows, holdout_rows = draw
+    def one_repeat(split: tuple[list[int], list[int]]) -> float | None:
+        fit_rows, holdout_rows = split
         try:
             preds = average_fit_predict(columns, ys, fit_rows, holdout_rows)
         except ValueError:  # some metric's fit values admit no finite line
             return None
         return _r2([ys[i] for i in holdout_rows], preds)
 
-    kept = tuple(v for v in map(one_repeat, _draws(seed, m, n_fit, repeats)) if v is not None)
+    key = (seed, m, n_fit, repeats)
+    if draws is None:
+        splits = _draws(*key)
+    else:
+        if key not in draws:
+            draws[key] = tuple(_draws(*key))
+        splits = draws[key]
+    kept = tuple(v for v in map(one_repeat, splits) if v is not None)
     skipped = repeats - len(kept)
     if not kept:
         raise ValueError(f"all {repeats} repeats drew degenerate splits")

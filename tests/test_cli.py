@@ -525,8 +525,9 @@ def test_genloss_keeps_two_numbers_per_record_not_the_record(tmp_path):
     out = tmp_path / "genloss.json"
     genloss = traced_peak(lambda: main(["genloss", "--records", str(records), "--out", str(out)]))
     whole = traced_peak(lambda: load("genloss", records))
-    # what remains is one nll_sum per record and the reader's index of one
-    # hash per key: about 112 bytes per record, 312 with an index of keys
+    # what remains is one nll_sum and one key hash per record, and the hashes
+    # sorted once to find a repeat: about 67 bytes per record, 312 with an
+    # index of keys
     assert genloss <= 0.85 * whole, (genloss, whole)
     assert genloss <= 160 * 50_000, genloss
 

@@ -222,7 +222,7 @@ class TestRepeatedSplitEval:
         b = repeated_split_eval(points, n_fit=8, repeats=40, seed=8)
         assert a.per_repeat_r2 != b.per_repeat_r2
 
-    def test_each_split_is_drawn_once_per_arguments(self, monkeypatch):
+    def test_calls_sharing_a_draws_dict_draw_each_split_once(self, monkeypatch):
         drawn = []
         repeat_rng = stats._repeat_rng
 
@@ -231,14 +231,21 @@ class TestRepeatedSplitEval:
             return repeat_rng(seed, repeat_index)
 
         monkeypatch.setattr(stats, "_repeat_rng", counting)
-        stats._draws.cache_clear()
         points = self._noisy_points()
         first = repeated_split_eval(points, n_fit=8, repeats=40, seed=7)
-        assert repeated_split_eval(points, n_fit=8, repeats=40, seed=7) == first
-        assert repeated_split_eval_combined({"a": points, "b": points}, 8, 40, 7) == first
         assert drawn == [(7, r) for r in range(40)]
-        repeated_split_eval(points, n_fit=8, repeats=40, seed=8)
-        assert len(drawn) == 80 and drawn[40:] == [(8, r) for r in range(40)]
+        draws = {}
+        assert repeated_split_eval(points, n_fit=8, repeats=40, seed=7, draws=draws) == first
+        assert repeated_split_eval(points, n_fit=8, repeats=40, seed=7, draws=draws) == first
+        combined = repeated_split_eval_combined({"a": points, "b": points}, 8, 40, 7, draws=draws)
+        assert combined == first
+        assert drawn == [(7, r) for r in range(40)] * 2
+        repeated_split_eval(points, n_fit=8, repeats=40, seed=8, draws=draws)
+        assert len(drawn) == 120 and drawn[80:] == [(8, r) for r in range(40)]
+        assert sorted(draws) == [(7, 16, 8, 40), (8, 16, 8, 40)]
+        # without the dict nothing carries over between calls
+        repeated_split_eval(points, n_fit=8, repeats=40, seed=7)
+        assert len(drawn) == 160
 
     def test_combined_of_identical_metrics_matches_single(self):
         degenerate = pts((0.0, 0.1), (0.0, 0.2), (0.0, 0.3), (1.0, 0.9), (1.0, 0.8), (1.0, 0.7))
