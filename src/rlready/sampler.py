@@ -1,41 +1,46 @@
 """Sampling client: gather n completions per task from an OpenAI-compatible endpoint.
 
 Each sample is one POST to <endpoint>/v1/completions (n=1 per request keeps
-every completion auditable). Requests run on a thread pool of size
-max_concurrency, which bounds in-flight requests; each worker thread keeps
-one keep-alive http.client connection for the whole run. The coordinating
-thread takes completions as they finish (concurrent.futures.as_completed, so
-O(1) per completion however many are pending) and is the only writer of the
-store, one task at a time with samples in index order.
+every completion auditable). min(max_concurrency, requests) worker threads
+take requests from one shared queue, which bounds in-flight requests; each
+keeps one keep-alive connection for the whole run and hands every outcome to
+the calling thread, the only writer of the store, which appends one task at
+a time with samples in index order.
 
 Failed requests retry with exponential backoff: connection errors, malformed
-bodies, HTTP 5xx, 408 and 429 retry (a whole-second Retry-After lengthens the
+bodies (choices[0].text not a string, or finish_reason neither a string nor
+null), HTTP 5xx, 408 and 429 retry (a whole-second Retry-After lengthens the
 wait), other 4xx fail at once. A task whose request budget runs out is
 recorded in a failures sidecar and the run continues. Resume is idempotent:
 (task, sample_index) pairs already in the store are skipped, so rerunning
 after a crash or partial failure fills exactly the gaps.
 
-The transport is the standard library's: it reads no proxy settings
-(HTTP_PROXY, HTTPS_PROXY, NO_PROXY), no CA bundle variable
-(REQUESTS_CA_BUNDLE) and no credentials embedded in the URL; HTTPS verifies
-certificates and host names through ssl.create_default_context().
+The transport is a small HTTP/1.1 client on the socket and ssl modules. Each
+request leaves in one write. Responses are framed as RFC 9112 says: 1xx
+responses are skipped, chunked Transfer-Encoding wins over Content-Length,
+and with neither the body runs to the close. The connection ends there, or on
+Connection: close, or HTTP/1.0 without keep-alive. A line over 65,536 bytes,
+over 100 headers, a malformed status line or chunk size, or a short body is a
+transport error. It reads no proxy settings (HTTP_PROXY, HTTPS_PROXY,
+NO_PROXY), no CA bundle variable (REQUESTS_CA_BUNDLE) and no credentials
+embedded in the URL; HTTPS verifies certificates and host names through
+ssl.create_default_context().
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
+import socket
 import ssl
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import ExitStack
+from collections import deque
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
+from queue import SimpleQueue
 from urllib.parse import SplitResult, urlsplit
 
 from .records import RecordStore, SamplingTask, iter_records
@@ -50,10 +55,17 @@ FAILURES_SIDECAR = "failures.jsonl"
 _ACCEPTED = {"str": str, "int": int, "float": (int, float)}
 # statuses that may heal on retry, besides every 5xx
 _RETRY_STATUSES = (408, 429)
+# http.client's limits on a response line and on the headers of one response
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?: [^\r\n]*)?\r?\n")
+_CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
+_BLANK = (b"\r\n", b"\n")
 
 
 def _valid_endpoint(url: str) -> bool:
-    # http.client refuses whitespace and control characters in a request line
+    # a request line holds no whitespace or control characters, and its
+    # target ASCII only
     if re.search(r"[\x00-\x20\x7f]", url):
         return False
     try:
@@ -61,7 +73,8 @@ def _valid_endpoint(url: str) -> bool:
         parts.port  # raises ValueError on a port that is not a number in range
     except ValueError:
         return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
+    target_ascii = (parts.path + parts.query).isascii()
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and target_ascii
 
 
 @dataclass(frozen=True)
@@ -141,58 +154,150 @@ class SamplingIncomplete(RuntimeError):
 
 @dataclass
 class _TaskState:
-    task: SamplingTask
     pending: int
     results: list[Sample] = field(default_factory=list)
     error: str | None = None
 
 
-def _connection(endpoint: SplitResult, timeout: float) -> http.client.HTTPConnection:
-    if endpoint.scheme == "https":
-        return http.client.HTTPSConnection(
-            endpoint.hostname, endpoint.port, timeout=timeout,
-            context=ssl.create_default_context(),
-        )
-    return http.client.HTTPConnection(endpoint.hostname, endpoint.port, timeout=timeout)
+class _BadResponse(Exception):
+    """A response that breaks HTTP/1.1 framing or the limits on its size."""
 
 
-def _post(
-    conn: http.client.HTTPConnection, target: str, body: bytes, headers: dict
-) -> tuple[int, bytes, str | None]:
-    """POST once; returns (status, response body, Retry-After header).
+class _Connection:
+    """A worker's keep-alive HTTP/1.1 connection to the endpoint, opened on first use."""
 
-    A server may close an idle keep-alive connection just as a request goes
-    out; that request is sent once more on a new connection.
-    """
-    reused = conn.sock is not None
-    try:
-        conn.request("POST", target, body=body, headers=headers)
-        resp = conn.getresponse()
-    except (ConnectionResetError, BrokenPipeError):
-        if not reused:
+    def __init__(self, endpoint: SplitResult, timeout: float):
+        self.host = endpoint.hostname
+        self.port = endpoint.port or (443 if endpoint.scheme == "https" else 80)
+        self.context = ssl.create_default_context() if endpoint.scheme == "https" else None
+        self.timeout = timeout  # for the connect and for each read
+        self.sock = self.reader = None
+
+    def open(self) -> None:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.context is not None:
+                sock = self.context.wrap_socket(sock, server_hostname=self.host)
+        except BaseException:
+            sock.close()
             raise
-        conn.close()
-        conn.request("POST", target, body=body, headers=headers)
-        resp = conn.getresponse()
-    return resp.status, resp.read(), resp.getheader("Retry-After")
+        self.sock, self.reader = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = None
+
+    def post(self, request: bytes) -> tuple[int, bytes, str]:
+        """Send one request in one write; returns (status, body, Retry-After or "").
+
+        A server may close an idle keep-alive connection just as a request
+        goes out, so that no status line comes back; that request is sent
+        once more on a new connection.
+        """
+        reused = self.sock is not None
+        if not reused:
+            self.open()
+        try:
+            self.sock.sendall(request)
+            line = self._line()
+        except (ConnectionResetError, BrokenPipeError):
+            if not reused:
+                raise
+            line = b""
+        if not line and reused:
+            self.close()
+            return self.post(request)
+        match = _STATUS_LINE.fullmatch(line)
+        while match and match[2].startswith(b"1"):  # 1xx responses are interim
+            self._headers()
+            match = _STATUS_LINE.fullmatch(line := self._line())
+        if not match:
+            raise _BadResponse(f"malformed status line {line[:80]!r}")
+        status, headers = int(match[2]), self._headers()
+        encoding, length = headers.get(b"transfer-encoding"), headers.get(b"content-length")
+        until_close = False
+        if encoding is not None:  # it wins over Content-Length (RFC 9112 6.3)
+            until_close = encoding.rsplit(b",", 1)[-1].strip().lower() != b"chunked"
+            body = self.reader.read() if until_close else self._chunked()
+        elif length is not None:
+            if not length.isdigit():
+                raise _BadResponse(f"malformed Content-Length {length[:80]!r}")
+            body = self._read(int(length))
+        else:
+            until_close, body = True, self.reader.read()
+        tokens = {t.strip() for t in headers.get(b"connection", b"").lower().split(b",")}
+        if until_close or b"close" in tokens or (match[1] == b"0" and b"keep-alive" not in tokens):
+            self.close()
+        return status, body, headers.get(b"retry-after", b"").decode("latin-1")
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadResponse(f"response line longer than {_MAX_LINE} bytes")
+        return line
+
+    def _headers(self) -> dict[bytes, bytes]:
+        """The header block: lowercased names, the values of a repeated name joined by commas."""
+        headers: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            if (line := self._line()) in _BLANK:
+                return headers
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise _BadResponse(f"malformed header line {line[:80]!r}")
+            name, value = name.lower(), value.strip()
+            headers[name] = headers[name] + b", " + value if name in headers else value
+        raise _BadResponse(f"more than {_MAX_HEADERS} headers")
+
+    def _read(self, size: int) -> bytes:
+        data = self.reader.read(size)
+        if len(data) < size:
+            raise _BadResponse(f"body ended after {len(data)} of {size} bytes")
+        return data
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while (match := _CHUNK_LINE.fullmatch(line := self._line())) and int(match[1], 16):
+            chunks.append(self._read(int(match[1], 16) + 2)[:-2])  # the data, then CRLF
+        if not match:
+            raise _BadResponse(f"malformed chunk size line {line[:80]!r}")
+        while self._line() not in (*_BLANK, b""):  # trailer fields are skipped
+            pass
+        return b"".join(chunks)
+
+
+def _request_head(endpoint: SplitResult, api_key: str | None) -> bytes:
+    """The request line and headers every completion request shares, up to Content-Length.
+
+    Host is written as http.client writes it: no user-info, an IPv6 literal
+    in brackets, the port only when it is not the scheme's default.
+    """
+    host = endpoint.hostname.encode("idna").decode("ascii")
+    if ":" in host:
+        host = f"[{host}]"
+    if endpoint.port not in (None, 443 if endpoint.scheme == "https" else 80):
+        host = f"{host}:{endpoint.port}"
+    target = endpoint.path + (f"?{endpoint.query}" if endpoint.query else "")
+    head = f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+    auth = f"Authorization: Bearer {api_key}\r\n" if api_key else ""
+    return f"{head}Content-Type: application/json\r\n{auth}".encode("ascii")
 
 
 def _fetch_one(
-    local: threading.local,
-    job: SamplingJob,
-    target: str,
-    headers: dict,
-    template_body: dict,
-    task: SamplingTask,
+    conn: _Connection, job: SamplingJob, head: bytes, template_body: dict, task: SamplingTask
 ) -> tuple[str, str | None]:
     """One completion request with retry; returns (text, finish_reason).
 
     The body is the recorded request template's, with the task's prompt.
-    Posts through local.conn, the calling worker thread's own keep-alive
-    connection. Only a transport error closes it; the next request reopens it.
+    Posts through conn, the calling worker thread's own keep-alive
+    connection. A transport error closes it; the next request reopens it.
     """
     payload = dict(template_body, prompt=task.problem + "\n" + job.prompt_suffix)
     body = json.dumps(payload).encode()
+    request = b"%sContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
     last_error: Exception | None = None
     retry_after = 0.0
     for attempt in range(job.max_retries + 1):
@@ -200,9 +305,9 @@ def _fetch_one(
             time.sleep(max(job.retry_backoff * 2 ** (attempt - 1), retry_after))
             retry_after = 0.0
         try:
-            status, data, retry_after_header = _post(local.conn, target, body, headers)
-        except (OSError, http.client.HTTPException) as exc:  # transport errors
-            local.conn.close()
+            status, data, retry_after_header = conn.post(request)
+        except (OSError, _BadResponse) as exc:  # transport errors
+            conn.close()
             last_error = exc
             continue
         if status >= 400:
@@ -215,7 +320,11 @@ def _fetch_one(
             continue
         try:
             choice = json.loads(data)["choices"][0]
-            return choice["text"], choice.get("finish_reason")
+            text, finish = choice["text"], choice.get("finish_reason")
+            if not isinstance(text, str) or not isinstance(finish, (str, type(None))):
+                raise TypeError(f"malformed choice: text {type(text).__name__}, "
+                                f"finish_reason {type(finish).__name__}")
+            return text, finish
         except (ValueError, LookupError, TypeError, AttributeError) as exc:  # malformed bodies
             last_error = exc
     raise RuntimeError(f"retries exhausted: {last_error}")
@@ -227,6 +336,10 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
     Skips (task, sample_index) pairs already present for the job's checkpoint,
     so a rerun after a crash appends exactly the missing samples.
     """
+    api_key = os.environ.get(API_KEY_ENV)
+    if api_key and re.search(r"[^\x20-\x7e]", api_key):
+        # a line break would end the header early; the value is a secret, left out
+        raise ValueError(f"{API_KEY_ENV} must hold printable ASCII characters only")
     checkpoint = job.effective_checkpoint_id
     # the resume index holds keys only: the texts stream past unkept
     samples_path = store.path("samples")
@@ -237,11 +350,7 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
     }
     template = job.request_template()
     url = urlsplit(template["url"])
-    target = url.path + (f"?{url.query}" if url.query else "")
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
+    head = _request_head(url, api_key)
 
     states: dict[tuple[str, str], _TaskState] = {}
     units: list[tuple[SamplingTask, int]] = []
@@ -252,64 +361,64 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
             if (task.benchmark_id, task.task_id, i) not in existing
         ]
         if missing:
-            states[(task.benchmark_id, task.task_id)] = _TaskState(task, len(missing))
+            states[(task.benchmark_id, task.task_id)] = _TaskState(len(missing))
             units.extend((task, i) for i in missing)
 
     store.set_metadata("request_template", template)
     written = 0
     failures: list[dict] = []
-    # one keep-alive connection per worker thread; the connections close
-    # after the pool has joined its workers
-    local = threading.local()
-    connections = ExitStack()
+    todo = deque(units)
+    done: SimpleQueue = SimpleQueue()
 
-    def open_connection() -> None:
-        local.conn = _connection(url, job.request_timeout)
-        connections.callback(local.conn.close)
-
-    with connections, ThreadPoolExecutor(
-        max_workers=job.max_concurrency, initializer=open_connection
-    ) as pool:
-        fetch = partial(_fetch_one, local, job, target, headers, template["body"])
-        future_unit = {pool.submit(fetch, task): (task, index) for task, index in units}
+    def work(conn: _Connection) -> None:
+        # a worker thread: it fetches units until none is left and hands every
+        # outcome, an exception too, to the calling thread
         try:
-            for future in as_completed(future_unit):
-                task, index = future_unit.pop(future)  # the result is freed once stored
-                key = (task.benchmark_id, task.task_id)
-                state = states[key]
+            while True:
                 try:
-                    text, finish = future.result()
-                    state.results.append(
-                        Sample(
-                            checkpoint_id=checkpoint,
-                            benchmark_id=task.benchmark_id,
-                            task_id=task.task_id,
-                            sample_index=index,
-                            text=text,
-                            finish_reason=finish,
-                        )
-                    )
-                except Exception as exc:
-                    state.error = str(exc)
-                state.pending -= 1
-                if state.pending == 0:
-                    # task finished: single-writer append in index order
-                    del states[key]
-                    state.results.sort(key=lambda s: s.sample_index)
-                    written += store.append("samples", state.results)
-                    if state.error is not None:
-                        failures.append(
-                            {
-                                "task_id": task.task_id,
-                                "benchmark": task.benchmark_id,
-                                "error": state.error,
-                            }
-                        )
-        except BaseException:
-            # a failed coordinator (a store error, Ctrl-C) cancels the requests
-            # not yet sent instead of waiting for every one of them on the way out
-            pool.shutdown(cancel_futures=True)
-            raise
+                    task, index = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    done.put((task, index, _fetch_one(conn, job, head, template["body"], task)))
+                except BaseException as exc:
+                    done.put((task, index, exc))
+        finally:
+            conn.close()
+
+    workers: list[threading.Thread] = []
+    try:
+        for _ in range(min(job.max_concurrency, len(units))):
+            worker = threading.Thread(target=work, args=(_Connection(url, job.request_timeout),))
+            worker.start()
+            workers.append(worker)
+        for _ in units:
+            task, index, outcome = done.get()
+            key = (task.benchmark_id, task.task_id)
+            state = states[key]
+            if isinstance(outcome, Exception):
+                state.error = str(outcome)
+            elif isinstance(outcome, BaseException):
+                raise outcome  # a worker's KeyboardInterrupt or SystemExit
+            else:
+                state.results.append(
+                    Sample(checkpoint, task.benchmark_id, task.task_id, index, *outcome)
+                )
+            state.pending -= 1
+            if state.pending == 0:
+                # task finished: single-writer append in index order
+                del states[key]
+                state.results.sort(key=lambda s: s.sample_index)
+                written += store.append("samples", state.results)
+                if state.error is not None:
+                    failures.append({"task_id": task.task_id, "benchmark": task.benchmark_id,
+                                     "error": state.error})
+    finally:
+        # a failed coordinator (a store error, Ctrl-C) sends no new request:
+        # the workers end after the ones in flight
+        todo.clear()
+        for worker in workers:
+            worker.join()
 
     failures_path = store.root / FAILURES_SIDECAR
     if failures:

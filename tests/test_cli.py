@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import reference_records as reference
+from mockserver import run_server
 from rlready import cli, passk
 from rlready.cli import main
 from rlready.passk import METRICS_CSV_MARKER, TaskOutcome
@@ -433,6 +434,25 @@ def test_collect_config_that_is_not_utf8_exits_one_with_one_error_line(inputs, c
     assert capsys.readouterr().err.splitlines() == [
         f"error: validation: {config}: not valid UTF-8"]
     assert not (inputs["dir"] / "store").exists()
+
+
+def test_collect_with_an_api_key_holding_a_line_break_exits_one_and_sends_nothing(
+    inputs, monkeypatch, capsys
+):
+    d = inputs["dir"]
+    (d / "tasks.jsonl").write_text(json.dumps(TASK) + "\n", encoding="utf-8")
+    monkeypatch.setenv("RLREADY_API_KEY", "sk-secret\r\nX-Injected: 1")
+    with run_server() as server:
+        config = {"endpoint_url": server.url, "model_name": "m",
+                  "tasks_path": str(d / "tasks.jsonl"), "n": 1}
+        (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["collect", "--config", str(d / "config.json"), "--store", str(d / "store")]
+        assert main(argv) == 1
+        assert server.request_count == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: RLREADY_API_KEY must hold printable ASCII characters only"]
+    assert not (d / "store" / "failures.jsonl").exists()
+    assert not (d / "store" / "samples.jsonl").exists()
 
 
 def test_a_metrics_csv_that_is_not_utf8_exits_one_naming_its_line(inputs, capsys):

@@ -1,6 +1,8 @@
 import gc
-import http.client
+import json
+import socket
 import ssl
+import threading
 import time
 import tracemalloc
 from urllib.parse import urlsplit
@@ -8,12 +10,14 @@ from urllib.parse import urlsplit
 import pytest
 
 from mockserver import _Handler, run_server
+from rlready import sampler
 from rlready.records import RecordStore, load
 from rlready.sampler import (
     SamplingIncomplete,
     SamplingJob,
     SamplingTask,
-    _connection,
+    _Connection,
+    _request_head,
     sample_completions,
 )
 from rlready.verifier import Sample
@@ -55,6 +59,46 @@ class DroppingHandler(KeepAliveHandler):
     def do_POST(self):
         super().do_POST()
         self.close_connection = True
+
+
+class ScriptedHandler(KeepAliveHandler):
+    """Writes each response as the server's `script(status, body)` frames it.
+
+    `script` returns the raw bytes to send and whether to close the
+    connection after them.
+    """
+
+    def _respond(self, status, payload, headers=None):
+        raw, close = self.server.script(status, json.dumps(payload).encode())
+        self.wfile.write(raw)
+        self.close_connection = close
+
+
+def response(body, *headers, status=200, version=b"1.1"):
+    """A raw response: status line, header lines, blank line, body."""
+    return b"HTTP/%s %d X\r\n%s\r\n%s" % (
+        version, status, b"".join(h + b"\r\n" for h in headers), body
+    )
+
+
+@pytest.fixture
+def client_sockets(monkeypatch):
+    """The sockets the sampler opens, and every write it makes on them."""
+    opened, writes = [], []
+    connect, sendall = socket.create_connection, socket.socket.sendall
+
+    def counting_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    def counting_sendall(sock, data, *args):
+        if any(sock is s for s in opened):
+            writes.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(sampler.socket, "create_connection", counting_connect)
+    monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+    return opened, writes
 
 
 def serve_with(server, handler):
@@ -135,26 +179,19 @@ class TestSampleCompletions:
             assert server.max_in_flight == 2  # the bound is actually exercised
         store.verify()
 
-    def test_one_connection_per_worker_thread(self, tmp_path, monkeypatch):
-        opened, closed = [], []
-
-        class CountingConnection(http.client.HTTPConnection):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                opened.append(self)
-
-            def close(self):
-                closed.append(self)
-                super().close()
-
-        monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
+    def test_one_connection_per_worker_thread(self, tmp_path, client_sockets):
+        # the sockets the client opens are the ones the server accepts, at most
+        # one per worker, and each is closed when the run returns
+        opened, _ = client_sockets
         with run_server() as server:
+            serve_with(server, KeepAliveHandler)
             store = RecordStore(tmp_path / "store")
             job = make_job(server.url, n_tasks=5, n=4, max_concurrency=2)
             assert sample_completions(job, store) == 20
             assert server.request_count == 20
+            assert server.sockets == len(opened)
         assert 1 <= len(opened) <= 2
-        assert set(closed) == set(opened)
+        assert all(sock.fileno() == -1 for sock in opened)
 
     def test_keep_alive_reuses_one_socket_per_worker(self, tmp_path):
         # every fifth request is a 500 whose body is read: it keeps the connection
@@ -205,12 +242,30 @@ class TestSampleCompletions:
             assert server.request_count == 1
         assert "HTTP 404" in exc.value.failures_path.read_text()
 
-    def test_https_verifies_certificate_and_host(self):
-        conn = _connection(urlsplit("https://example.com:8443"), timeout=5.0)
-        assert isinstance(conn, http.client.HTTPSConnection)
-        assert (conn.host, conn.port, conn.timeout) == ("example.com", 8443, 5.0)
-        assert conn._context.verify_mode == ssl.CERT_REQUIRED
-        assert conn._context.check_hostname
+    def test_https_verifies_certificate_and_host(self, monkeypatch):
+        # the TLS context requires a valid certificate for the URL's host name,
+        # which the handshake is given as server_hostname
+        conn = _Connection(urlsplit("https://example.com:8443/v1/completions"), timeout=5.0)
+        assert conn.context.verify_mode == ssl.CERT_REQUIRED
+        assert conn.context.check_hostname
+        connected, hostnames = [], []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            connect = socket.create_connection
+
+            def local_connect(address, timeout):
+                connected.append((address, timeout))
+                return connect(listener.getsockname(), timeout)
+
+            def wrap_socket(sock, server_hostname):
+                hostnames.append(server_hostname)
+                return sock
+
+            monkeypatch.setattr(sampler.socket, "create_connection", local_connect)
+            monkeypatch.setattr(conn.context, "wrap_socket", wrap_socket)
+            conn.open()
+            conn.close()
+        assert connected == [(("example.com", 8443), 5.0)]
+        assert hostnames == ["example.com"]
 
     def test_exhausted_retries_records_sidecar_and_continues(self, tmp_path):
         # requests for task t0 always fail; t1 succeeds
@@ -259,6 +314,22 @@ class TestSampleCompletions:
             # only the requests already in flight may still be served
             assert server.request_count - served_at_failure[0] <= job.max_concurrency + 2
         assert served_at_failure[0] < 20 * 4
+
+    def test_a_worker_relays_what_is_not_an_exception(self, tmp_path, monkeypatch):
+        fetch = sampler._fetch_one
+
+        def interrupted(conn, job, head, body, task):
+            if task.task_id == "t1":
+                raise KeyboardInterrupt("in a worker")
+            return fetch(conn, job, head, body, task)
+
+        monkeypatch.setattr(sampler, "_fetch_one", interrupted)
+        with run_server() as server:
+            threads = threading.active_count()
+            job = make_job(server.url, n_tasks=3, n=2)
+            with pytest.raises(KeyboardInterrupt, match="in a worker"):
+                sample_completions(job, RecordStore(tmp_path / "store"))
+            assert threading.active_count() == threads  # every worker was joined
 
     def test_crash_mid_run_resumes_exactly_once(self, tmp_path, monkeypatch):
         store = RecordStore(tmp_path / "store")
@@ -359,6 +430,157 @@ class TestSampleCompletions:
         assert peak < size / 4, (peak, size)
 
 
+    @pytest.mark.parametrize(
+        "choice",
+        [{"text": None, "finish_reason": 7}, {"text": 5}, {"text": ["a"]},
+         {"text": "ok", "finish_reason": 7}, {"text": "ok", "finish_reason": {}}],
+    )
+    def test_a_choice_of_the_wrong_type_is_retried_and_never_stored(self, tmp_path, choice):
+        def script(status, body):
+            if b"problem 0" in body:
+                body = json.dumps({"choices": [choice]}).encode()
+            return response(body, b"Content-Length: %d" % len(body)), False
+
+        store = RecordStore(tmp_path / "store")
+        with run_server() as server:
+            server.script = script
+            serve_with(server, ScriptedHandler)
+            with pytest.raises(SamplingIncomplete) as exc:
+                sample_completions(make_job(server.url, max_retries=1), store)
+            assert server.request_count == 3 * 2 + 3  # t0's samples were tried twice
+        assert "malformed choice" in exc.value.failures_path.read_text()
+        store.verify()
+        assert stored_keys(store) == {("t1", j) for j in range(3)}
+        with run_server() as server:  # healthy now
+            assert sample_completions(make_job(server.url), store) == 3
+        assert stored_keys(store) == {(f"t{i}", j) for i in range(2) for j in range(3)}
+
+    @pytest.mark.parametrize(
+        "key", ["sk-secret\r\nX-Injected: 1", "sk-secret\n", "sk-\tsecret", "sk-secret\x7f",
+                "sk-secret\x1b", "sk-sécret"],
+    )
+    def test_api_key_that_is_not_printable_ascii_is_refused_before_any_request(
+        self, tmp_path, monkeypatch, key
+    ):
+        monkeypatch.setenv("RLREADY_API_KEY", key)
+        store = RecordStore(tmp_path / "store")
+        with run_server() as server:
+            with pytest.raises(ValueError, match="RLREADY_API_KEY") as exc:
+                sample_completions(make_job(server.url), store)
+            assert server.request_count == 0
+        assert "secret" not in str(exc.value)
+        assert not (store.root / "failures.jsonl").exists()
+        assert not store.path("samples").exists()
+
+    @pytest.mark.parametrize(
+        "frame,sockets",
+        [("chunked", 1), ("interim_1xx", 1), ("http10_keep_alive", 1), ("http10_to_close", 6), ("http11_to_close", 6),
+         ("http10_length", 6), ("connection_close", 6)],
+    )
+    def test_each_framing_is_read(self, tmp_path, client_sockets, frame, sockets):
+        # the server closes only a body that runs to the close: the client
+        # itself must end a connection that HTTP/1.0 or Connection: close ends
+        def script(status, body):
+            length = b"Content-Length: %d" % len(body)
+            if frame == "chunked":
+                # chunk extension and trailer; Transfer-Encoding wins over a
+                # Content-Length that does not hold
+                chunked = b"4;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: 1\r\n\r\n" % (
+                    body[:4], len(body) - 4, body[4:])
+                return response(chunked, b"Transfer-Encoding: chunked", b"Content-Length: 3"), False
+            if frame == "interim_1xx":
+                interim = response(b"", b"Link: </x>", status=103)
+                return response(b"", status=100) + interim + response(body, length), False
+            if frame == "http10_keep_alive":
+                return response(body, length, b"Connection: Keep-Alive", version=b"1.0"), False
+            if frame.endswith("_to_close"):
+                version = b"1.0" if frame == "http10_to_close" else b"1.1"
+                return response(body, b"Content-Type: application/json", version=version), True
+            if frame == "http10_length":
+                return response(body, length, version=b"1.0"), False
+            return response(body, length, b"Connection: close"), False
+
+        with run_server() as server:
+            server.script = script
+            serve_with(server, ScriptedHandler)
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url, max_retries=0, max_concurrency=1)
+            assert sample_completions(job, store) == 6
+            assert server.request_count == len(client_sockets[1]) == 6  # no write in vain
+            assert server.sockets == sockets
+        texts = {(s.task_id, s.text, s.finish_reason) for s in load("samples", store.path("samples"))}
+        assert texts == {(f"t{i}", f"thinking... \\boxed{{problem {i}}}", "stop") for i in range(2)}
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [pytest.param(response(b"{}", b"Content-Length: 1000"),
+                      "body ended after 2 of 1000 bytes", id="short_body"),
+         pytest.param(b"garbage\r\n\r\n", "malformed status line", id="garbage_status"),
+         pytest.param(b"HTTP/1.1 2000 OK\r\n\r\n", "malformed status line", id="status_2000"),
+         pytest.param(response(b"", b"X-Big: " + b"a" * 70000),
+                      "response line longer than 65536 bytes", id="long_header_line"),
+         pytest.param(response(b"", *[b"X-H%d: 1" % i for i in range(101)]),
+                      "more than 100 headers", id="101_headers"),
+         pytest.param(response(b"zz\r\n", b"Transfer-Encoding: chunked"),
+                      "malformed chunk size", id="bad_chunk_size"),
+         pytest.param(response(b"{}", b"Content-Length: -2"),
+                      "malformed Content-Length", id="negative_length"),
+         pytest.param(response(b"{}", b"no colon"), "malformed header line", id="no_colon")],
+    )
+    def test_a_broken_response_is_a_failed_attempt(self, tmp_path, bad, error):
+        # the first two responses are broken: the request is tried twice, then
+        # recorded as failed; the third response is whole
+        def script(status, body):
+            with server.lock:
+                served.append(status)
+                if len(served) <= 2:
+                    return bad, True
+            return response(body, b"Content-Length: %d" % len(body)), False
+
+        served = []
+        with run_server() as server:
+            server.script = script
+            serve_with(server, ScriptedHandler)
+            store = RecordStore(tmp_path / "store")
+            job = make_job(server.url, n_tasks=2, n=1, max_retries=1, max_concurrency=1)
+            with pytest.raises(SamplingIncomplete) as exc:
+                sample_completions(job, store)
+            assert server.request_count == 3
+        assert error in exc.value.failures_path.read_text()
+        assert stored_keys(store) == {("t1", 0)}
+
+    def test_one_write_per_request_with_the_host_of_the_url(self, tmp_path, client_sockets):
+        # user-info in the URL never reaches the request
+        _, requests = client_sockets
+        with run_server(behavior=lambda no, body: "fail" if no == 2 else "ok") as server:
+            serve_with(server, KeepAliveHandler)
+            host, port = server.server_address
+            store = RecordStore(tmp_path / "store")
+            job = make_job(f"http://user:pw@{host}:{port}", n_tasks=2, n=2)
+            assert sample_completions(job, store) == 4
+            assert server.request_count == len(requests) == 5
+        for request in requests:
+            head, body = request.split(b"\r\n\r\n", 1)
+            lines = head.split(b"\r\n")
+            assert lines[:2] == [b"POST /v1/completions HTTP/1.1", b"Host: 127.0.0.1:%d" % port]
+            assert b"Content-Length: %d" % len(body) in lines
+            assert json.loads(body)["model"] == "test-model"
+            assert b"user" not in head and b"pw" not in head
+
+
+@pytest.mark.parametrize(
+    "url,host",
+    [("http://[::1]:8080/v1", "[::1]:8080"), ("http://[::1]/v1", "[::1]"),
+     ("https://[2001:db8::1]:443/v1", "[2001:db8::1]"), ("http://example.com:80/v1", "example.com"),
+     ("http://example.com/v1", "example.com"), ("https://example.com:443/v1", "example.com"),
+     ("https://example.com:80/v1", "example.com:80"),
+     ("http://u:p@Example.COM:8000/v1", "example.com:8000")],
+)
+def test_host_header_is_written_as_http_client_writes_it(url, host):
+    lines = _request_head(urlsplit(url), None).split(b"\r\n")
+    assert lines[:2] == [b"POST /v1 HTTP/1.1", b"Host: " + host.encode()]
+
+
 class TestSamplingJobValidation:
     def test_bounds(self):
         task = SamplingTask("t", "p", "b")
@@ -376,14 +598,15 @@ class TestSamplingJobValidation:
          ("retry_backoff", -0.1), ("request_timeout", 0), ("request_timeout", float("nan")),
          ("endpoint_url", "localhost:8000"), ("endpoint_url", "ftp://x"),
          ("endpoint_url", "http://"), ("endpoint_url", "http://x:port"),
-         ("endpoint_url", "http://x/a b")],
+         ("endpoint_url", "http://x/a b"), ("endpoint_url", "http://x/caf\u00e9")],
     )
     def test_wrong_type_or_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             make_job("http://x", **{field: value})
 
     @pytest.mark.parametrize(
-        "url", ["http://x", "https://x.example:8443/api/", "http://127.0.0.1:9", "http://[::1]:80"]
+        "url", ["http://x", "https://x.example:8443/api/", "http://127.0.0.1:9", "http://[::1]:80",
+                "http://b\u00fccher.example"]
     )
     def test_http_urls_with_a_host_accepted(self, url):
         assert make_job(url).endpoint_url == url
