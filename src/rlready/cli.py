@@ -31,7 +31,6 @@ from .passk import (
 from .plotting import plot_scatter
 from .predict import (
     calibrate_and_predict,
-    component_name,
     component_value,
     parse_metric,
     rank_candidates,
@@ -47,14 +46,7 @@ from .records import (
     read_json,
 )
 from .sampler import SamplingIncomplete, SamplingJob, sample_completions
-from .stats import (
-    LabeledPoint,
-    fit_linear,
-    r_squared,
-    repeated_split_eval,
-    repeated_split_eval_combined,
-    spearman,
-)
+from .stats import fit_linear, r_squared, spearman, split_eval
 from .verifier import RULESET_VERSION, score
 
 # collect's config keys are the SamplingJob fields, except that the config
@@ -108,6 +100,8 @@ def _load_genloss_scalars(path: Path) -> dict[str, float]:
         number = finite_float(value) if value.__class__ in (int, float) else None
         if number is None:
             raise ValueError(f"{path}: gen_loss of {ckpt!r} must be a finite number")
+        if number < 0:
+            raise ValueError(f"{path}: gen_loss of {ckpt!r} must be >= 0, got {number}")
         scalars[ckpt] = number
     return scalars
 
@@ -194,7 +188,7 @@ def cmd_passk(args) -> None:
         rows.append(
             {
                 "checkpoint_id": ckpt,
-                "n_benchmarks": len(metrics.per_benchmark),
+                "n_benchmarks": len({o.benchmark_id for o in outs}),
                 "n_tasks": len(outs),
                 "min_n": min(o.n for o in outs),
                 "max_n": max(o.n for o in outs),
@@ -282,24 +276,15 @@ def cmd_evaluate(args) -> None:
         metric_names += ["genloss", f"avg:passk:{args.k}+genloss"]
 
     ys = [labels[m.checkpoint_id] for m in labeled]
+    predictions = [calibrate_and_predict(labeled, labels, name) for name in metric_names]
+    # one predictor is one x column per component, all scored on the same splits
+    predictors = [
+        [[component_value(m, comp) for m in labeled] for comp in parse_metric(name)]
+        for name in metric_names
+    ]
+    protocols = split_eval(predictors, ys, args.n_fit, args.repeats, args.seed)
     results = {}
-    draws: dict = {}  # one set of repeated splits for every predictor
-    for name in metric_names:
-        predictions = calibrate_and_predict(labeled, labels, name)
-        points = {
-            component_name(comp): [
-                LabeledPoint(m.checkpoint_id, component_value(m, comp), y)
-                for m, y in zip(labeled, ys)
-            ]
-            for comp in parse_metric(name)
-        }
-        if len(points) == 1:
-            [single] = points.values()
-            protocol = repeated_split_eval(single, args.n_fit, args.repeats, args.seed, draws=draws)
-        else:
-            protocol = repeated_split_eval_combined(
-                points, args.n_fit, args.repeats, args.seed, draws=draws
-            )
+    for name, predicted, protocol in zip(metric_names, predictions, protocols):
         if protocol.skipped:
             print(
                 f"warning: {name}: {protocol.skipped} of {args.repeats} repeats "
@@ -307,7 +292,7 @@ def cmd_evaluate(args) -> None:
                 file=sys.stderr,
             )
         results[name] = {
-            "spearman": spearman([predictions[m.checkpoint_id] for m in labeled], ys),
+            "spearman": spearman([predicted[m.checkpoint_id] for m in labeled], ys),
             "mean_r2": protocol.mean_r2,
             "sd_r2": protocol.dispersion,
             "stderr_r2": protocol.stderr,

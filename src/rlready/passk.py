@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -85,8 +85,7 @@ class PassKCurve:
 class CheckpointMetrics:
     """Aggregated pre-RL metrics for one checkpoint.
 
-    pass1 and passk are aggregated across benchmarks; per_benchmark holds the
-    per-benchmark curves they were built from. gen_loss comes from a
+    pass1 and passk are aggregated across benchmarks. gen_loss comes from a
     different data source than sampling outcomes, the genloss report, so
     aggregate leaves it None; the CLI attaches it with dataclasses.replace
     when it reads the metrics CSV, and the predict workflows read it here.
@@ -96,7 +95,6 @@ class CheckpointMetrics:
     pass1: float
     passk: PassKCurve
     gen_loss: float | None = None
-    per_benchmark: dict[str, PassKCurve] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.pass1 <= 1.0:
@@ -173,7 +171,7 @@ def aggregate(
     *,
     curves: dict[tuple[int, int, tuple[int, ...]], tuple[float, ...]] | None = None,
 ) -> CheckpointMetrics:
-    """Aggregate one checkpoint's task outcomes into benchmark and overall curves.
+    """Aggregate one checkpoint's task outcomes into its overall Pass@k curve.
 
     macro (default): mean over tasks within each benchmark, then unweighted
     mean across benchmarks. micro: mean over all tasks regardless of
@@ -204,7 +202,7 @@ def aggregate(
     if too_small:
         raise ValueError(f"tasks with n < max k={ks[-1]}: {', '.join(too_small)}")
 
-    # every curve also holds k=1, dropped from the reported curves if not asked
+    # every curve also holds k=1, dropped from the reported curve if not asked
     ks1 = ks if ks[0] == 1 else (1, *ks)
     drop = len(ks1) - len(ks)
     # one curve per distinct (n, c); every n is at least max k (checked
@@ -218,15 +216,10 @@ def aggregate(
     def mean_curve(tasks: Iterable[TaskOutcome]) -> list[float]:
         return [_mean(column) for column in zip(*(curves[o.n, o.c, ks1] for o in tasks))]
 
-    bench_values = {
-        bench: mean_curve(tasks)
-        for bench, tasks in groupby(outs, key=lambda o: o.benchmark_id)
-    }
-
     # the overall curve is a mean of group means: one group per benchmark in
     # macro mode, one group of every task in micro mode (dividing by 1 is exact)
     if mode == "macro":
-        groups = [bench_values[b] for b in sorted(bench_values)]
+        groups = [mean_curve(tasks) for _, tasks in groupby(outs, key=lambda o: o.benchmark_id)]
     else:
         groups = [mean_curve(outs)]
     overall = [_mean(column) for column in zip(*groups)]
@@ -234,10 +227,6 @@ def aggregate(
         checkpoint_id=checkpoint_ids[0],
         pass1=overall[0],
         passk=PassKCurve(ks=ks, values=tuple(overall[drop:])),
-        per_benchmark={
-            bench: PassKCurve(ks=ks, values=tuple(values[drop:]))
-            for bench, values in bench_values.items()
-        },
     )
 
 

@@ -169,11 +169,6 @@ def _parse_component(text: str) -> tuple:
     raise ValueError(f"unknown metric {text!r} (expected {METRIC_GRAMMAR})")
 
 
-def component_name(comp: tuple) -> str:
-    """Canonical string form of a parsed metric component."""
-    return f"passk:{comp[1]}" if comp[0] == "passk" else comp[0]
-
-
 def component_value(cand: CheckpointMetrics, comp: tuple) -> float:
     """The checkpoint's value for one parsed metric component."""
     if comp[0] == "pass1":

@@ -1,9 +1,11 @@
 """Predictor-evaluation statistics: OLS calibration, held-out R², Spearman.
 
-The centerpiece is repeated_split_eval: draw a fitting subset uniformly at
-random, fit a line on it, score R-squared on the held-out remainder, and
-repeat. Each repeat derives its RNG from (seed, repeat index), so the whole
-protocol is reproducible from the seed alone.
+The centerpiece is split_eval, the one split core: draw a fitting subset
+uniformly at random, fit each predictor on it, score R-squared on the
+held-out remainder, and repeat. Each repeat derives its RNG from (seed,
+repeat index), so the whole protocol is reproducible from the seed alone.
+repeated_split_eval and repeated_split_eval_combined are its adapters for
+LabeledPoint lists.
 
 R-squared here is prediction quality on held-out points, 1 - SS_res/SS_tot
 around the holdout mean. It can be negative (a fit worse than predicting the
@@ -11,11 +13,10 @@ mean) and is reported as-is; clamping would hide exactly the failures this
 protocol exists to expose.
 
 The averaged composite predictor (one line per metric, predictions
-averaged) is average_fit_predict; the split protocol scores it on each
-repeat's holdout, and predict.calibrate_and_predict fits it on every
-labeled checkpoint. Lines and R² share one degeneracy rule, _spread, and
-every sum of squared deviations is _sum_sq, which turns an overflow into a
-ValueError.
+averaged) is average_fit_predict; split_eval scores it on each repeat's
+holdout, and predict.calibrate_and_predict fits it on every labeled
+checkpoint. Lines and R² share one degeneracy rule, _spread, and every sum
+of squared deviations is _sum_sq, which turns an overflow into a ValueError.
 """
 
 from __future__ import annotations
@@ -221,24 +222,80 @@ def _draws(seed: int, m: int, n_fit: int, repeats: int) -> Iterator[tuple[list[i
         yield sorted(fit), [i for i in range(m) if i not in fit]
 
 
-def repeated_split_eval(
-    points: Sequence[LabeledPoint],
+def split_eval(
+    predictors: Sequence[Sequence[Sequence[float]]],
+    ys: Sequence[float],
     n_fit: int,
     repeats: int,
     seed: int,
-    *,
-    draws: dict[tuple[int, int, int, int], tuple] | None = None,
-) -> EvalProtocolResult:
-    """Repeat: fit on a random n_fit subset, score R² on the remainder.
+) -> list[EvalProtocolResult]:
+    """Repeat: fit each predictor on a random n_fit subset, score R² on the rest.
 
-    The draw sequence is a pure function of (points order, n_fit, repeats,
-    seed); callers who want order-independence should sort points by
-    checkpoint_id first (the CLI does). If the caller passes a draws dict,
-    the splits are kept in it, keyed (seed, len(points), n_fit, repeats), so
-    that calls sharing it draw each protocol's splits once between them;
-    without one each repeat's split is drawn, used and dropped.
+    A predictor is a list of x columns aligned with ys, the averaged composite
+    of average_fit_predict; one column is the plain one-metric line. Each
+    repeat's split is drawn once and every predictor is scored on it, so each
+    result, an error included, is the one its predictor gets alone. The draws
+    are a pure function of (len(ys), n_fit, repeats, seed); callers who want
+    order-independence sort the rows first (the CLI sorts by checkpoint id).
+    Results come in predictor order, and so does the first error raised.
     """
-    return _split_eval([list(points)], n_fit, repeats, seed, draws)
+    m = len(ys)
+    if m < 4:
+        raise ValueError(f"need >= 4 labeled points for a fit/validation split, got {m}")
+    if not 2 <= n_fit <= m - 2:
+        raise ValueError(f"n_fit must be in [2, {m - 2}], got {n_fit}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+    scores: list[list] = [[] for _ in predictors]  # per repeat: R², None if skipped, or an error
+    for fit_rows, holdout_rows in _draws(seed, m, n_fit, repeats):
+        holdout_ys = [ys[i] for i in holdout_rows]
+        for columns, values in zip(predictors, scores):
+            try:
+                preds = average_fit_predict(columns, ys, fit_rows, holdout_rows)
+            except ValueError:  # some column's fit values admit no finite line
+                values.append(None)
+                continue
+            try:
+                values.append(_r2(holdout_ys, preds))
+            except ValueError as exc:  # an overflow, raised below in predictor order
+                values.append(exc)
+
+    results = []
+    for values in scores:
+        error = next((v for v in values if isinstance(v, ValueError)), None)
+        if error is not None:
+            raise error
+        kept = tuple(v for v in values if v is not None)
+        if not kept:
+            raise ValueError(f"all {repeats} repeats drew degenerate splits")
+        mean = sum(kept) / len(kept)
+        if len(kept) > 1:
+            sd = math.sqrt(_sum_sq(v - mean for v in kept) / (len(kept) - 1))
+        else:
+            sd = 0.0
+        results.append(
+            EvalProtocolResult(
+                per_repeat_r2=kept,
+                mean_r2=mean,
+                dispersion=sd,
+                stderr=sd / math.sqrt(len(kept)),
+                n_fit=n_fit,
+                n_val=m - n_fit,
+                repeats=repeats,
+                skipped=repeats - len(kept),
+                seed=seed,
+            )
+        )
+    return results
+
+
+def repeated_split_eval(
+    points: Sequence[LabeledPoint], n_fit: int, repeats: int, seed: int
+) -> EvalProtocolResult:
+    """split_eval of one metric given as labeled points, in the points' order."""
+    [result] = split_eval([[[p.x for p in points]]], [p.y for p in points], n_fit, repeats, seed)
+    return result
 
 
 def repeated_split_eval_combined(
@@ -246,17 +303,12 @@ def repeated_split_eval_combined(
     n_fit: int,
     repeats: int,
     seed: int,
-    *,
-    draws: dict[tuple[int, int, int, int], tuple] | None = None,
 ) -> EvalProtocolResult:
-    """Repeated-split protocol for an averaged multi-metric predictor.
+    """split_eval of the averaged predictor of several metrics' labeled points.
 
     metric_points maps metric name -> labeled points; the lists must be
-    aligned (same checkpoints, same order, same labels). Each repeat draws
-    one fit subset with the same (seed, index) derivation as
-    repeated_split_eval, fits each metric on it separately, averages the
-    fits' predictions on the holdout, and scores R² of the averages. draws
-    is shared with repeated_split_eval's, as there.
+    aligned (same checkpoints, same order, same labels). The metrics' lines
+    are averaged in sorted-name order.
     """
     names = sorted(metric_points)
     if len(names) < 2:
@@ -269,61 +321,6 @@ def repeated_split_eval_combined(
                 f"metric {name!r} points are not aligned with {names[0]!r} "
                 "(checkpoints, order and labels must match)"
             )
-    return _split_eval(lists, n_fit, repeats, seed, draws)
-
-
-def _split_eval(
-    lists: list[list[LabeledPoint]],
-    n_fit: int,
-    repeats: int,
-    seed: int,
-    draws: dict[tuple[int, int, int, int], tuple] | None,
-) -> EvalProtocolResult:
-    # lists are aligned point lists, one per metric; the predictor averages
-    # their lines, so a single list is the plain one-metric protocol
-    m = len(lists[0])
-    if m < 4:
-        raise ValueError(f"need >= 4 labeled points for a fit/validation split, got {m}")
-    if not 2 <= n_fit <= m - 2:
-        raise ValueError(f"n_fit must be in [2, {m - 2}], got {n_fit}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-
-    ys = [p.y for p in lists[0]]
     columns = [[p.x for p in lst] for lst in lists]
-
-    def one_repeat(split: tuple[list[int], list[int]]) -> float | None:
-        fit_rows, holdout_rows = split
-        try:
-            preds = average_fit_predict(columns, ys, fit_rows, holdout_rows)
-        except ValueError:  # some metric's fit values admit no finite line
-            return None
-        return _r2([ys[i] for i in holdout_rows], preds)
-
-    key = (seed, m, n_fit, repeats)
-    if draws is None:
-        splits = _draws(*key)
-    else:
-        if key not in draws:
-            draws[key] = tuple(_draws(*key))
-        splits = draws[key]
-    kept = tuple(v for v in map(one_repeat, splits) if v is not None)
-    skipped = repeats - len(kept)
-    if not kept:
-        raise ValueError(f"all {repeats} repeats drew degenerate splits")
-    mean = sum(kept) / len(kept)
-    if len(kept) > 1:
-        sd = math.sqrt(_sum_sq(v - mean for v in kept) / (len(kept) - 1))
-    else:
-        sd = 0.0
-    return EvalProtocolResult(
-        per_repeat_r2=kept,
-        mean_r2=mean,
-        dispersion=sd,
-        stderr=sd / math.sqrt(len(kept)),
-        n_fit=n_fit,
-        n_val=m - n_fit,
-        repeats=repeats,
-        skipped=skipped,
-        seed=seed,
-    )
+    [result] = split_eval([columns], [p.y for p in lists[0]], n_fit, repeats, seed)
+    return result

@@ -98,5 +98,4 @@ def aggregate(
         checkpoint_id=checkpoint_ids[0],
         pass1=pass1,
         passk=overall,
-        per_benchmark=per_benchmark,
     )

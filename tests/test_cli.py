@@ -15,7 +15,7 @@ import pytest
 
 import reference_records as reference
 from mockserver import run_server
-from rlready import cli, passk
+from rlready import cli, passk, stats
 from rlready.cli import main
 from rlready.passk import METRICS_CSV_MARKER, TaskOutcome
 from rlready.records import dump, load
@@ -151,6 +151,40 @@ def test_evaluate_scores_every_predictor_out_of_sample(inputs):
         assert entry["skipped"] == protocol.skipped, name
 
 
+def test_evaluate_draws_each_split_once_for_every_predictor(inputs, monkeypatch):
+    drawn = []
+    repeat_rng = stats._repeat_rng
+
+    def counting(seed, repeat_index):
+        drawn.append((seed, repeat_index))
+        return repeat_rng(seed, repeat_index)
+
+    monkeypatch.setattr(stats, "_repeat_rng", counting)
+    out = inputs["dir"] / "evaluate.json"
+    argv = ["evaluate", "--metrics", str(inputs["metrics"]), "--labels", str(inputs["labels"]),
+            "--genloss", str(inputs["genloss"]), "--n-fit", "3", "--repeats", "30",
+            "--seed", "4", "--k", str(K), "--out", str(out)]
+    assert main(argv) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["metrics"]) == 4
+    assert drawn == [(4, r) for r in range(30)]
+
+
+def test_evaluate_reports_a_calibration_error_before_a_bad_n_fit(inputs, capsys):
+    # every predictor is calibrated before the splits are drawn, so the
+    # genloss predictor's missing checkpoint is named, not the --n-fit range
+    inputs["genloss"].write_text(
+        json.dumps({"gen_loss": {c: row[2] for c, row in CHECKPOINTS.items() if c != "ckpt-c"}}),
+        encoding="utf-8",
+    )
+    argv = ["evaluate", "--metrics", str(inputs["metrics"]), "--labels", str(inputs["labels"]),
+            "--genloss", str(inputs["genloss"]), "--n-fit", "9", "--repeats", "5",
+            "--seed", "0", "--k", str(K), "--out", str(inputs["dir"] / "evaluate.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: checkpoint 'ckpt-c' has no gen_loss"
+    ]
+
+
 TASK = {"task_id": "t0", "problem": "p", "benchmark": "b"}
 POINT = {"checkpoint_id": "ckpt-a", "x": 0.1, "y": 0.2}
 LOSS = {"checkpoint_id": "ckpt-a", "example_id": "e0", "nll_sum": 2.5, "token_count": 3}
@@ -215,6 +249,8 @@ MALFORMED_GENLOSS_REPORTS = {
     "infinite gen_loss": ("predict", '{"gen_loss": {"ckpt-c": Infinity}}', ["'ckpt-c'"]),
     "huge gen_loss": ("predict", '{"gen_loss": {"ckpt-d": %s}}' % HUGE, ["'ckpt-d'"]),
     "null gen_loss": ("predict", '{"gen_loss": {"ckpt-e": null}}', ["'ckpt-e'"]),
+    "negative gen_loss": ("rank", json.dumps({"gen_loss": {"ckpt-b": -1.0}}),
+                          ["bad-genloss.json: gen_loss of 'ckpt-b' must be >= 0, got -1.0"]),
     "byte 0xff in the report": ("rank", b'{"gen_loss": {"ckpt-\xff": 1.0}}',
                                 ["bad-genloss.json: not valid UTF-8"]),
     # finite, but the squared deviations of 1e200 from the mean overflow

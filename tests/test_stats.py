@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -222,7 +223,7 @@ class TestRepeatedSplitEval:
         b = repeated_split_eval(points, n_fit=8, repeats=40, seed=8)
         assert a.per_repeat_r2 != b.per_repeat_r2
 
-    def test_calls_sharing_a_draws_dict_draw_each_split_once(self, monkeypatch):
+    def test_split_eval_scores_each_predictor_as_it_scores_alone(self, monkeypatch):
         drawn = []
         repeat_rng = stats._repeat_rng
 
@@ -231,21 +232,52 @@ class TestRepeatedSplitEval:
             return repeat_rng(seed, repeat_index)
 
         monkeypatch.setattr(stats, "_repeat_rng", counting)
-        points = self._noisy_points()
-        first = repeated_split_eval(points, n_fit=8, repeats=40, seed=7)
-        assert drawn == [(7, r) for r in range(40)]
-        draws = {}
-        assert repeated_split_eval(points, n_fit=8, repeats=40, seed=7, draws=draws) == first
-        assert repeated_split_eval(points, n_fit=8, repeats=40, seed=7, draws=draws) == first
-        combined = repeated_split_eval_combined({"a": points, "b": points}, 8, 40, 7, draws=draws)
-        assert combined == first
-        assert drawn == [(7, r) for r in range(40)] * 2
-        repeated_split_eval(points, n_fit=8, repeats=40, seed=8, draws=draws)
-        assert len(drawn) == 120 and drawn[80:] == [(8, r) for r in range(40)]
-        assert sorted(draws) == [(7, 16, 8, 40), (8, 16, 8, 40)]
-        # without the dict nothing carries over between calls
-        repeated_split_eval(points, n_fit=8, repeats=40, seed=7)
-        assert len(drawn) == 160
+        noisy = self._noisy_points()
+        ys = [p.y for p in noisy]
+        shifted = [p.x ** 2 for p in noisy]
+        # two-valued columns: a fit set drawn from one value of a column
+        # admits no line, and each column does so on its own repeats
+        left = [float(i < 4) for i in range(16)]
+        right = [float(i >= 12) for i in range(16)]
+        for n_fit, columns in ((8, [[p.x for p in noisy], shifted]), (3, [left, right])):
+            candidates = [[columns[0]], [columns[1]], columns, columns[::-1]]
+            for count in (1, 2, 3):
+                for predictors in itertools.permutations(candidates, count):
+                    drawn.clear()
+                    got = stats.split_eval(predictors, ys, n_fit, 40, 7)
+                    assert drawn == [(7, r) for r in range(40)]  # one draw per repeat
+                    want = []
+                    for cols in predictors:
+                        lists = [[LabeledPoint(f"m{i:02d}", x, y) for i, (x, y) in
+                                  enumerate(zip(col, ys))] for col in cols]
+                        want.append(
+                            repeated_split_eval(lists[0], n_fit, 40, 7)
+                            if len(lists) == 1
+                            # names in column order, which the combined protocol sorts by
+                            else repeated_split_eval_combined(
+                                {f"metric{j}": lst for j, lst in enumerate(lists)}, n_fit, 40, 7
+                            )
+                        )
+                    assert got == want
+        # in the two-valued world each column skips repeats of its own, and
+        # their average skips every repeat that either column skips
+        skipped = [r.skipped for r in stats.split_eval(candidates, ys, 3, 40, 7)]
+        assert 0 < skipped[0] != skipped[1] > 0
+        assert skipped[2] == skipped[3] > max(skipped[:2])
+
+    def test_split_eval_raises_the_first_failing_predictors_error(self):
+        # the fit set {0, 1} gives a slope near 1e160, whose holdout residuals
+        # overflow when squared; a constant column admits no line on any repeat
+        ys = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+        overflowing = [[0.0, 1e-160, 1.0, 2.0, 3.0, 4.0]]
+        constant = [[0.5] * 6]
+        with pytest.raises(ValueError, match="squared deviations overflows"):
+            stats.split_eval([overflowing], ys, 2, 200, 0)
+        with pytest.raises(ValueError, match="all 200 repeats drew degenerate splits"):
+            stats.split_eval([constant, overflowing], ys, 2, 200, 0)
+        with pytest.raises(ValueError, match="squared deviations overflows"):
+            stats.split_eval([overflowing, constant], ys, 2, 200, 0)
+        assert stats.split_eval([], ys, 2, 200, 0) == []
 
     def test_combined_of_identical_metrics_matches_single(self):
         degenerate = pts((0.0, 0.1), (0.0, 0.2), (0.0, 0.3), (1.0, 0.9), (1.0, 0.8), (1.0, 0.7))
