@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskOutcome:
     """Per-task sampling outcome: n completions generated, c of them correct."""
 

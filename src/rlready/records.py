@@ -24,7 +24,9 @@ ignored.
 There is one reader, iter_records, which streams a file's validated records
 and keeps one hash per key for the per-kind uniqueness check; a hash seen
 before is confirmed by reading the file again up to that line, so the check
-stays exact. load is list(iter_records(...)). A line is decoded by the JSON
+stays exact. The string fields of a record's key are interned, so the
+records read from a file share one string object per distinct id. load is
+list(iter_records(...)). A line is decoded by the JSON
 scanner when it holds one value and JSON whitespace after it; any other line
 goes to json.loads, which gives the value or the error, so a line is read
 and an error worded as json.loads reads and words it. The commands that
@@ -39,9 +41,11 @@ folds whole lines 64 KiB at a time: a chunk whose lines all hold the four
 genloss fields alone, in one key order, is read with one pattern match,
 any other chunk with one JSON decode per line, and either is checked and
 folded column by column, with no record built. The columns hold the serial
-fold's values in file order, so the report keeps its bits. An invalid line
-or a key hash seen twice sends the whole file through the serial fold,
-which reports the error at its line.
+fold's values in file order, so the report keeps its bits. A key repeats
+only within its checkpoint, so each checkpoint keeps the hashes of its
+example ids. An invalid line or an example id hash seen twice under one
+checkpoint sends the whole file through the serial fold, which reports the
+error at its line.
 
 The store is append-only with a manifest tracking per-file line counts and
 whole-file sha256 hashes, so every derived number can be audited back to raw
@@ -56,11 +60,12 @@ import json
 import math
 import os
 import re
+import sys
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, fields
-from itertools import chain, groupby, islice
-from operator import eq, truediv
+from itertools import chain, groupby
+from operator import truediv
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
@@ -121,6 +126,7 @@ class _Schema(NamedTuple):
     # per field: (JSON name, accepted classes, optional, nonempty, as float, type name)
     checks: tuple[tuple, ...]
     key_len: int  # how many leading fields form the uniqueness key
+    interned: tuple[int, ...]  # the positions of the key's string fields
     order: tuple[int, ...] | None  # constructor argument order, None if file order
     writes: tuple[tuple[str, str, bool], ...]  # (JSON name, attribute, optional)
 
@@ -147,7 +153,8 @@ def _schema(
     attrs = [_ATTRIBUTE.get(name, name) for name in names]
     init = [f.name for f in fields(cls) if f.name in attrs]
     order = None if init == attrs else tuple(attrs.index(a) for a in init)
-    return _Schema(cls, tuple(checks), key_len, order, tuple(writes))
+    interned = tuple(i for i, check in enumerate(checks[:key_len]) if check[-1] == "string")
+    return _Schema(cls, tuple(checks), key_len, interned, order, tuple(writes))
 
 
 _SCHEMAS = {
@@ -239,8 +246,11 @@ def _json_object(line: str) -> dict:
 
 
 def _parse(line: str, spec: _Schema) -> tuple[list, Any]:
-    """(field values in file order, record) of one line, or a ValueError."""
+    """(field values in file order, record) of one line, or a ValueError; the
+    key's strings are interned, so the records of a file share them."""
     values = _field_values(spec.checks, _json_object(line))
+    for i in spec.interned:
+        values[i] = sys.intern(values[i])
     order = spec.order
     return values, spec.cls(*values) if order is None else spec.cls(*[values[i] for i in order])
 
@@ -280,7 +290,10 @@ def iter_records(kind: str, path: str | Path) -> Iterator:
     so a caller must not act on what it received before the error. (Bytes
     are decoded a buffer ahead of the lines, so a byte that is not UTF-8 can
     be reported before an invalid line a few kilobytes above it.) A caller
-    that folds the stream holds no record it has moved past.
+    that folds the stream holds no record it has moved past. The string
+    fields of each record's key are interned, so the records that a caller
+    keeps share one string object per distinct checkpoint, benchmark, task
+    or example id.
 
     For the duplicate check the reader keeps one hash per key, not the key.
     A line whose key hashes to a value already seen is confirmed by reading
@@ -469,9 +482,13 @@ def _json_columns(text: str) -> list | None:
 def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
     """_fold_genloss's columns of the genloss lines of path, each chunk's
     from _pattern_columns or else _json_columns; None where iter_records
-    must decide: a chunk that neither reads, or a key hash seen twice."""
+    must decide: a chunk that neither reads, or an example id hash seen
+    twice under one checkpoint."""
     columns: dict[str, list] = {}
-    hashes = array("q")
+    # a key repeats only within its checkpoint, so each checkpoint keeps the
+    # hashes of its example ids, packed: a set would keep an int and a table
+    # slot per key alive between the chunks
+    hashes: dict[str, array] = {}
     try:
         for chunk in _chunks(path):
             text = chunk.decode("utf-8")
@@ -479,13 +496,14 @@ def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
             if chunk_columns is None:
                 return None
             ckpts, examples, nlls, tokens = chunk_columns
-            hashes.extend(map(hash, zip(ckpts, examples)))
             at = 0
             for ckpt, run in groupby(ckpts):
                 stop = at + len(list(run))
                 entry = columns.get(ckpt)
                 if entry is None:
                     entry = columns[ckpt] = [array("d"), 0]
+                    hashes[ckpt] = array("q")
+                hashes[ckpt].extend(map(hash, examples[at:stop]))
                 if weighted:
                     entry[0].extend(nlls[at:stop])
                     entry[1] += sum(tokens[at:stop])
@@ -494,10 +512,7 @@ def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
                 at = stop
     except (OSError, ValueError):  # UnicodeDecodeError too
         return None
-    # the hashes are kept packed and sorted once at the end: a set would keep
-    # an int and a table slot per key alive between the chunks
-    ordered = sorted(hashes)
-    if any(map(eq, ordered, islice(ordered, 1, None))):
+    if any(len(set(column)) != len(column) for column in hashes.values()):
         return None
     return columns
 
@@ -513,10 +528,11 @@ def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -
     Either checks each column as iter_records checks each record, and the
     columns hold the serial fold's values in file order, so every sum gives
     its bits. Wherever the chunks cannot vouch for the serial result, the
-    serial fold runs instead: on an invalid line, a key hash seen twice, a
-    \\r that does not close a \\r\\n, or a path that is not a regular file.
-    So every error is the one iter_records gives, with its line number, and
-    a hash collision is confirmed as it confirms one.
+    serial fold runs instead: on an invalid line, an example id hash seen
+    twice under one checkpoint, a \\r that does not close a \\r\\n, or a
+    path that is not a regular file. So every error is the one iter_records
+    gives, with its line number, and a hash collision is confirmed as it
+    confirms one.
     """
     weighted = _check_mode(mode)
     columns = _fold_chunks(path, weighted) if os.path.isfile(path) else None

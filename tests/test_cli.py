@@ -581,11 +581,31 @@ def test_genloss_keeps_two_numbers_per_record_not_the_record(tmp_path):
     out = tmp_path / "genloss.json"
     genloss = traced_peak(lambda: main(["genloss", "--records", str(records), "--out", str(out)]))
     whole = traced_peak(lambda: load("genloss", records))
-    # what remains is one nll_sum and one key hash per record, and the hashes
-    # sorted once to find a repeat: about 67 bytes per record, 312 with an
-    # index of keys
+    # what remains is one nll_sum and one example id hash per record, and one
+    # checkpoint's hashes in a set at a time to find a repeat: about 36 bytes
+    # per record, 312 with an index of keys
     assert genloss <= 0.85 * whole, (genloss, whole)
-    assert genloss <= 160 * 50_000, genloss
+    assert genloss <= 60 * 50_000, genloss
+
+
+def test_loaded_outcomes_share_their_id_strings(tmp_path):
+    # 20 checkpoints x 500 tasks: each id recurs on many lines
+    path = write_jsonl(tmp_path / "outcomes.jsonl", (
+        {"checkpoint_id": f"ckpt-{ck:02d}", "benchmark": f"bench{t % 3}", "task_id": f"t{t:04d}",
+         "n": 256, "c": (ck * t) % 257}
+        for ck in range(20) for t in range(500)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outcomes = load("outcomes", path)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == 10_000
+    # a slotted record and its list slot hold about 80 bytes; a record with
+    # its own copy of each id string holds 284
+    assert held <= 140 * 10_000, held
 
 
 # ----------------------------------------------------------- verify streaming

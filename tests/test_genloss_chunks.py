@@ -138,6 +138,9 @@ ACCEPTED = {
     "leading space and a tab": (
         lambda lines: replace_line(lines, 240, b" " + lines[240][:-1] + b"\t\n"), False),
     "no final newline": (lambda lines: lines[:-1] + [lines[-1][:-1]], False),
+    # line 11 is of ckpt-1, line 10 of ckpt-0
+    "one example id under two checkpoints": (
+        lambda lines: replace_line(lines, 11, lines[11].replace(b"ex-0011", b"ex-0010")), False),
 }
 
 
@@ -156,8 +159,12 @@ def test_line_breaks_and_whitespace_give_the_serial_report(tmp_path, capsys, mon
 def test_keys_whose_hashes_meet_give_the_serial_report(tmp_path, capsys, monkeypatch):
     path = tmp_path / "genloss.jsonl"
     path.write_bytes(b"".join(genloss_lines()))
-    # a hash with three values: every chunk repeats one
-    monkeypatch.setattr(records, "hash", lambda key: len(key[1]) % 3, raising=False)
+    # a hash of the example id with three values, which every checkpoint
+    # repeats: the fold hashes the id, the serial reader the whole key
+    def hash_(key):
+        return len(key if isinstance(key, str) else key[1]) % 3
+
+    monkeypatch.setattr(records, "hash", hash_, raising=False)
     expected = serial_genloss(path, capsys, monkeypatch)
     assert expected[0] == 0
     with chunked(monkeypatch) as serial_reads:

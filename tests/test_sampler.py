@@ -115,6 +115,10 @@ def stored_keys(store, checkpoint="test-model"):
     }
 
 
+def non_daemon_threads() -> int:
+    return sum(not t.daemon for t in threading.enumerate())
+
+
 class TestSampleCompletions:
     def test_counting_contract(self, tmp_path):
         with run_server() as server:
@@ -325,11 +329,13 @@ class TestSampleCompletions:
 
         monkeypatch.setattr(sampler, "_fetch_one", interrupted)
         with run_server() as server:
-            threads = threading.active_count()
+            # the server's handler threads are daemons that end on their own
+            # time after the client closes; a worker is not a daemon
+            threads = non_daemon_threads()
             job = make_job(server.url, n_tasks=3, n=2)
             with pytest.raises(KeyboardInterrupt, match="in a worker"):
                 sample_completions(job, RecordStore(tmp_path / "store"))
-            assert threading.active_count() == threads  # every worker was joined
+            assert non_daemon_threads() == threads  # every worker was joined
 
     def test_crash_mid_run_resumes_exactly_once(self, tmp_path, monkeypatch):
         store = RecordStore(tmp_path / "store")
@@ -428,6 +434,10 @@ class TestSampleCompletions:
         finally:
             tracemalloc.stop()
         assert peak < size / 4, (peak, size)
+        # a key whose id strings are shared with the other keys takes about
+        # 108 bytes, one with its own copies 214; the rest of the peak is the
+        # reader's hash per key and a line in flight
+        assert peak < 300 * job.n * len(job.tasks), peak
 
 
     @pytest.mark.parametrize(
