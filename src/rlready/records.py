@@ -38,14 +38,14 @@ finite: NaN, infinities and integers beyond the float range are rejected.
 
 The genloss command reads its file with genloss_file_by_checkpoint, which
 folds whole lines 64 KiB at a time: a chunk whose lines all hold the four
-genloss fields alone, in one key order, is read with one pattern match,
-any other chunk with one JSON decode per line, and either is checked and
+genloss fields alone, in one key order, is read with one pattern match and
 folded column by column, with no record built. The columns hold the serial
 fold's values in file order, so the report keeps its bits. A key repeats
 only within its checkpoint, so each checkpoint keeps the hashes of its
-example ids. An invalid line or an example id hash seen twice under one
-checkpoint sends the whole file through the serial fold, which reports the
-error at its line.
+example ids. A chunk the pattern cannot read (an invalid line, or a valid
+one in another layout) or an example id hash seen twice under one
+checkpoint sends the whole file through the serial fold, which gives the
+report or the error at its line.
 
 The store is append-only with a manifest tracking per-file line counts and
 whole-file sha256 hashes, so every derived number can be audited back to raw
@@ -64,7 +64,7 @@ import sys
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, fields
-from itertools import chain, groupby
+from itertools import groupby
 from operator import truediv
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
@@ -452,38 +452,11 @@ def _chunks(path: str | Path) -> Iterator[bytes]:
             yield rest
 
 
-def _json_columns(text: str) -> list | None:
-    """The columns of _pattern_columns, of lines of text that are each a JSON
-    object holding a valid genloss record, each field checked column by
-    column as _field_values and GenLossRecord check it; None where a line
-    might read otherwise than in iter_records, such as at a \\r that does not
-    close a \\r\\n, where the text reader also ends a line."""
-    if text.count("\r") != text.count("\r\n"):
-        return None
-    lines = text.split("\n")[: text.count("\n") + (not text.endswith("\n"))]
-    try:
-        objects = list(map(_json_object, lines))
-    except ValueError:
-        return None
-    ckpts, examples, nlls, tokens = ([o.get(name) for o in objects] for name in _GENLOSS_TYPES)
-    if not (
-        all(v.__class__ is str and v for v in chain(ckpts, examples))
-        and all(v.__class__ in (int, float) for v in nlls)  # a bool is neither
-        and all(v.__class__ is int and v >= 1 for v in tokens)
-    ):
-        return None
-    try:
-        nlls = list(map(float, nlls))
-    except OverflowError:  # an int beyond the float range
-        return None
-    return [ckpts, examples, nlls, tokens] if all(0.0 <= v < math.inf for v in nlls) else None
-
-
 def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
     """_fold_genloss's columns of the genloss lines of path, each chunk's
-    from _pattern_columns or else _json_columns; None where iter_records
-    must decide: a chunk that neither reads, or an example id hash seen
-    twice under one checkpoint."""
+    from _pattern_columns; None where iter_records must decide: a chunk
+    that the pattern cannot read, or an example id hash seen twice under
+    one checkpoint."""
     columns: dict[str, list] = {}
     # a key repeats only within its checkpoint, so each checkpoint keeps the
     # hashes of its example ids, packed: a set would keep an int and a table
@@ -492,7 +465,7 @@ def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
     try:
         for chunk in _chunks(path):
             text = chunk.decode("utf-8")
-            chunk_columns = _pattern_columns(text) or _json_columns(text)
+            chunk_columns = _pattern_columns(text)
             if chunk_columns is None:
                 return None
             ckpts, examples, nlls, tokens = chunk_columns
@@ -522,17 +495,17 @@ def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -
     64 KiB chunks.
 
     A chunk whose lines all hold the genloss fields alone, in the key order
-    of its first line, is read with one pattern match (_pattern_columns);
-    any other chunk (an extra field, keys in mixed orders, a number the
-    pattern leaves to JSON) with one JSON decode per line (_json_columns).
-    Either checks each column as iter_records checks each record, and the
-    columns hold the serial fold's values in file order, so every sum gives
-    its bits. Wherever the chunks cannot vouch for the serial result, the
-    serial fold runs instead: on an invalid line, an example id hash seen
-    twice under one checkpoint, a \\r that does not close a \\r\\n, or a
-    path that is not a regular file. So every error is the one iter_records
-    gives, with its line number, and a hash collision is confirmed as it
-    confirms one.
+    of its first line, is read with one pattern match (_pattern_columns),
+    which accepts only values that iter_records accepts and reads them as
+    it does, and the columns hold the serial fold's values in file order,
+    so every sum gives its bits. Wherever the chunks cannot vouch for the
+    serial result, the serial fold runs instead, over the whole file: on a
+    chunk the pattern cannot read (an invalid line, an extra field, keys in
+    mixed orders, an escaped key, a number the pattern leaves to JSON, a
+    \\r that does not close a \\r\\n), an example id hash seen twice under
+    one checkpoint, or a path that is not a regular file. So every error is
+    the one iter_records gives, with its line number, and a hash collision
+    is confirmed as it confirms one.
     """
     weighted = _check_mode(mode)
     columns = _fold_chunks(path, weighted) if os.path.isfile(path) else None

@@ -6,6 +6,13 @@ answer, either after normalization or as an exact rational value ("0.5" vs
 RULESET_VERSION so scores stay reproducible; richer symbolic equivalence
 (trig identities, intervals, matrices) is out of scope.
 
+An answer is read as a rational only if it holds at most one "/" (so
+\\frac{1/2}{3}, which normalizes to 1/2/3, is no number), and only if no run
+of digits in it is longer than _MAX_DIGITS and no exponent lies beyond
++-_MAX_DIGITS. Any other answer is compared as a string only: one completion
+cannot make the verifier build a huge power of ten, and no verdict depends
+on the interpreter's limit on int digits.
+
 Completions with no boxed answer count as incorrect, never excluded:
 excluding them would inflate c/n and bias Pass@k upward.
 """
@@ -21,7 +28,7 @@ from .passk import TaskOutcome
 
 # Bump whenever a normalization or extraction rule changes; recorded in
 # report metadata so scores can be traced to the rule set that produced them.
-RULESET_VERSION = "1"
+RULESET_VERSION = "2"
 
 _BOXED = re.compile(r"\\boxed\s*\{")
 _BRACE = re.compile(r"[{}]")
@@ -31,6 +38,10 @@ _FRAC = re.compile(r"\\frac\{([^{}]+)\}\{([^{}]+)\}")
 _DIGIT_COMMA = re.compile(r"(?<=\d),(?=\d)")
 _TRAILING_ZEROS = re.compile(r"(?<=\d)\.0+$")
 _PERCENT = re.compile(r"^([+-]?\d+(?:\.\d+)?)%$")
+# CPython's default limit on the digits of an int read from a string
+_MAX_DIGITS = 4300
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
 @dataclass(frozen=True)
@@ -112,24 +123,30 @@ def normalize(answer: str) -> str:
     return s
 
 
-def _as_fraction(s: str) -> Fraction | None:
-    """Exact rational value of a normalized answer, or None if non-numeric."""
-    s = s.strip()
-    if not s:
+def _number(s: str) -> Fraction | None:
+    """Fraction(s), or None if s is no number, or has a run of more than
+    _MAX_DIGITS digits or an exponent beyond +-_MAX_DIGITS."""
+    # Fraction reads each digit run with int(), and an underscore joins digits
+    if any(len(run) - run.count("_") > _MAX_DIGITS for run in _DIGIT_RUN.findall(s)):
         return None
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            d = Fraction(den.strip())
-            if d == 0:
-                return None
-            return Fraction(num.strip()) / d
-        except (ValueError, ZeroDivisionError):
-            return None
     try:
+        exponent = _EXPONENT.search(s)
+        if exponent and abs(int(exponent[1])) > _MAX_DIGITS:
+            return None
         return Fraction(s)
     except ValueError:
         return None
+
+
+def _as_fraction(s: str) -> Fraction | None:
+    """Exact rational value of a normalized answer, or None if non-numeric."""
+    if s.count("/") > 1:
+        return None  # a/b/c reads two ways
+    num, slash, den = s.partition("/")
+    if not slash:
+        return _number(s)
+    n, d = _number(num), _number(den)
+    return n / d if n is not None and d else None
 
 
 def answers_equal(a: str, b: str) -> bool:

@@ -57,6 +57,8 @@ EQUALITY_CASES = [
     ("0.50", "1/2", True),
     ("+5", "5", True),
     ("1e2", "100", True),
+    ("1/2/3", "3/2", False),  # a chained slash is no number
+    ("\\frac{1/2}{3}", "3/2", False),
     ("x", "x", True),
     ("x + 1", "x+1", False),  # whitespace runs collapse, they are not removed
     ("abc", "abd", False),

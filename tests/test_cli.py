@@ -800,7 +800,7 @@ GOLDEN_STEPS = [
 
 GOLDEN_SHA256 = {
     "outcomes.jsonl": "cabf08cfb5da30988b6e2ea6b2938a48704542d6b01024649db7973ade4cc7f3",
-    "outcomes.jsonl.meta.json": "37692790a48fdf79e8fc43341afe4803b8e4b4bc649100233eb038aff6299874",
+    "outcomes.jsonl.meta.json": "bd24c17e0a8b05512fb11e3118e2270b645e9d44266bf72d9d12ba42b1c0e8c4",
     "metrics.csv": "bdfdb2b46336a4471a5634e4ae6b59ae66b6748681548cad498d8354eb508440",
     "genloss.json": "8cba1767fc838dca3546a8c36972c58dffa440d1e48f69798d3ce7b6beaa6adf",
     "rank.json": "82b77bd3e790cb6f1078d32f920b6e0b7f2a4a99fe5706e904dc9c9cad7396fb",

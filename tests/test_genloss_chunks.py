@@ -133,6 +133,7 @@ def test_an_invalid_line_gives_the_serial_error_line(tmp_path, capsys, monkeypat
 # each file reads the same through the text reader
 ACCEPTED = {
     "\\r\\n line ends": (lambda lines: [line[:-1] + b"\r\n" for line in lines], False),
+    "an extra field": (lambda lines: [line[:-2] + b', "split": "val"}\n' for line in lines], True),
     "a lone \\r between two records": (
         lambda lines: lines[:200] + [lines[200][:-1] + b"\r" + lines[201]] + lines[202:], True),
     "leading space and a tab": (
@@ -180,20 +181,6 @@ def test_a_path_that_is_not_a_file_is_read_serially(tmp_path, capsys, monkeypatc
     with chunked(monkeypatch) as serial_reads:
         assert genloss(path, capsys) == expected
     assert serial_reads == [str(path)]
-
-
-def test_a_file_with_an_extra_field_is_folded_by_json_not_serially(tmp_path, capsys,
-                                                                   monkeypatch):
-    # valid lines that the pattern misses
-    lines = [line[:-2] + b', "split": "val"}\n' for line in genloss_lines()]
-    path = tmp_path / "genloss.jsonl"
-    path.write_bytes(b"".join(lines))
-    for mode in ("token_weighted", "per_example"):
-        expected = serial_genloss(path, capsys, monkeypatch, mode)
-        assert expected[0] == 0
-        with chunked(monkeypatch, _parse=_no_parse) as serial_reads:
-            assert genloss(path, capsys, mode) == expected
-        assert serial_reads == []
 
 
 def _line(ckpt, example, nll="12.5", tokens="7", ids=json.dumps, order=FIELDS):

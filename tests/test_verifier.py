@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +121,21 @@ def test_numeric_transitivity():
     for a in variants:
         for b in variants:
             assert answers_equal(a, b)
+
+
+def test_a_number_beyond_the_digit_limit_is_compared_as_a_string():
+    # in a child process, so that a verifier that builds 10**999999999 fails
+    # the test by its timeout instead of stalling the suite
+    code = ("from rlready.verifier import answers_equal as eq; "
+            "print(eq('1e999999999', '1'), eq('2' * 5000 + '/2', '1' * 5000))")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(verifier.__file__).parents[1])
+    verdicts = [
+        subprocess.run([sys.executable, "-c", code], env={**env, **limit}, capture_output=True,
+                       text=True, timeout=10, check=True).stdout
+        for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"})
+    ]
+    assert verdicts == ["False False\n"] * 2
 
 
 class TestScore:
