@@ -2,8 +2,10 @@
 evaluate, curate, plot.
 
 Every report embeds the provenance needed to re-run it: tool version, seed,
-k, modes, and sha256 hashes of the input files. Randomized commands require
-an explicit --seed; there are no default seeds. Outputs are deterministic:
+k, modes, and sha256 hashes of the input files. Each command names its input
+files when it starts, and a helper thread hashes the large regular ones
+while the command reads them (_InputHashes). Randomized commands require an
+explicit --seed; there are no default seeds. Outputs are deterministic:
 identical inputs and flags produce identical bytes.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Errors print one
@@ -14,10 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import threading
 from dataclasses import MISSING, fields, replace
 from itertools import groupby
 from pathlib import Path
+from stat import S_ISREG
 
 from . import __version__
 from .curate import CurationSpec, measure_lengths, select, split_validation
@@ -59,15 +64,79 @@ _CONFIG_REQUIRED = {
 }
 
 
-def _metadata(command: str, inputs: dict[str, Path], **extra) -> dict:
+# a smaller file hashes in about a millisecond, less than a thread costs
+_HELPER_MIN_BYTES = 1 << 20
+
+
+def _stamp(path: Path) -> tuple | None:
+    """The device, inode, size, mtime and ctime of a regular file, which a
+    write changes; None for any other path."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    if not S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+class _InputHashes:
+    """The sha256 of each input file of one command, by role.
+
+    A helper thread hashes the regular files of _HELPER_MIN_BYTES or more
+    while the command reads them; hashlib hashes without the GIL, so the
+    hash runs on a second core. digests() hashes on the calling thread,
+    after the work, every other path (two readers would split a FIFO's data
+    between them), a file the helper could not hash, and one whose stamp
+    changed since the command started (an output written over its input):
+    so every error and every hash is the one a hash after the work gives.
+    close() stops the helper at its next buffer and joins it.
+    """
+
+    def __init__(self, inputs: dict[str, Path]):
+        self._inputs = sorted(inputs.items())
+        self._hashed: dict[Path, tuple] = {}
+        self._stop = threading.Event()
+        stamps = [(path, _stamp(path)) for _, path in self._inputs]
+        large = [(path, stamp) for path, stamp in stamps if stamp and stamp[2] >= _HELPER_MIN_BYTES]
+        self._thread = None
+        if large:
+            self._thread = threading.Thread(target=self._hash, args=(large,), name="rlready-hash")
+            self._thread.start()
+
+    def _hash(self, stamps: list[tuple[Path, tuple]]) -> None:
+        for path, stamp in stamps:
+            try:
+                digest = file_sha256(path, self._stop.is_set)
+            except OSError:
+                continue  # digests() hashes it again and raises the error there
+            if digest is None:
+                return  # stopped
+            self._hashed[path] = (stamp, digest)
+
+    def close(self) -> None:
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join()
+
+    def digests(self) -> dict[str, dict]:
+        if self._thread is not None:
+            self._thread.join()
+        out = {}
+        for role, path in self._inputs:
+            stamp, digest = self._hashed.get(path, (None, None))
+            if digest is None or _stamp(path) != stamp:
+                digest = file_sha256(path)
+            out[role] = {"path": str(path), "sha256": digest}
+        return out
+
+
+def _metadata(args, **extra) -> dict:
     md = {
         "tool": "rlready",
         "tool_version": __version__,
-        "command": command,
-        "inputs": {
-            role: {"path": str(path), "sha256": file_sha256(path)}
-            for role, path in sorted(inputs.items())
-        },
+        "command": args.command,
+        "inputs": args.input_hashes.digests(),
     }
     md.update(extra)
     return md
@@ -165,12 +234,7 @@ def cmd_verify(args) -> None:
         raise ValueError(f"no gold answer for task ({bench!r}, {task!r})")
     outcomes = [TaskOutcome(*key, n, c) for key, (n, c) in sorted(totals.items())]
     dump("outcomes", outcomes, args.out)
-    meta = _metadata(
-        "verify",
-        {"samples": Path(args.samples), "gold": Path(args.gold)},
-        verifier_ruleset_version=RULESET_VERSION,
-        n_outcomes=len(outcomes),
-    )
+    meta = _metadata(args, verifier_ruleset_version=RULESET_VERSION, n_outcomes=len(outcomes))
     _write_json(Path(str(args.out) + ".meta.json"), meta)
     print(f"scored {len(outcomes)} tasks -> {args.out}")
 
@@ -196,12 +260,7 @@ def cmd_passk(args) -> None:
                 "passk": list(metrics.passk.values),
             }
         )
-    meta = _metadata(
-        "passk",
-        {"outcomes": Path(args.outcomes)},
-        ks=ks,
-        aggregation=args.agg,
-    )
+    meta = _metadata(args, ks=ks, aggregation=args.agg)
     write_metrics_csv(Path(args.out), rows, ks, meta)
     print(f"wrote metrics for {len(rows)} checkpoints -> {args.out}")
 
@@ -209,7 +268,7 @@ def cmd_passk(args) -> None:
 def cmd_genloss(args) -> None:
     scalars = genloss_file_by_checkpoint(args.records, mode=args.mode)
     payload = {
-        "metadata": _metadata("genloss", {"records": Path(args.records)}, mode=args.mode),
+        "metadata": _metadata(args, mode=args.mode),
         "gen_loss": scalars,
     }
     _write_json(Path(args.out), payload)
@@ -219,14 +278,11 @@ def cmd_genloss(args) -> None:
 def cmd_rank(args) -> None:
     genloss_path = Path(args.genloss) if args.genloss else None
     checkpoints = _read_checkpoints(Path(args.metrics), genloss_path)
-    inputs = {"metrics": Path(args.metrics)}
-    if genloss_path:
-        inputs["genloss"] = genloss_path
     report = rank_candidates(
         checkpoints, k=args.k, rule_out=genloss_path is not None, epsilon=args.epsilon
     )
     payload = {
-        "metadata": _metadata("rank", inputs, k_used=args.k, epsilon=args.epsilon),
+        "metadata": _metadata(args, k_used=args.k, epsilon=args.epsilon),
         "k_used": report.k_used,
         "ruled_out": [list(pair) for pair in report.ruled_out],
         "ranked": [[ckpt, value] for ckpt, value in report.ranked],
@@ -249,11 +305,8 @@ def cmd_predict(args) -> None:
     labels = {rec.checkpoint_id: rec.post_rl_pass1 for rec in load("labels", args.labels)}
     predictions = calibrate_and_predict(checkpoints, labels, args.metric)
     residuals = {ckpt: label - predictions[ckpt] for ckpt, label in labels.items()}
-    inputs = {"metrics": Path(args.metrics), "labels": Path(args.labels)}
-    if genloss_path:
-        inputs["genloss"] = genloss_path
     payload = {
-        "metadata": _metadata("predict", inputs, metric=args.metric),
+        "metadata": _metadata(args, metric=args.metric),
         "metric": args.metric,
         "predictions": predictions,
         "residuals": residuals,
@@ -302,17 +355,9 @@ def cmd_evaluate(args) -> None:
             "n_val": protocol.n_val,
         }
 
-    inputs = {"metrics": Path(args.metrics), "labels": Path(args.labels)}
-    if genloss_path:
-        inputs["genloss"] = genloss_path
     payload = {
         "metadata": _metadata(
-            "evaluate",
-            inputs,
-            seed=args.seed,
-            n_fit=args.n_fit,
-            repeats=args.repeats,
-            k=args.k,
+            args, seed=args.seed, n_fit=args.n_fit, repeats=args.repeats, k=args.k
         ),
         "metrics": results,
     }
@@ -345,7 +390,7 @@ def cmd_curate(args) -> None:
     dump("sft", selected, args.out)
 
     manifest = {
-        "metadata": _metadata("curate", {"sft": Path(args.sft)}),
+        "metadata": _metadata(args),
         "spec": {
             "strategy": spec.strategy,
             "count": spec.count,
@@ -388,8 +433,7 @@ def cmd_plot(args) -> None:
         except ValueError:
             r2 = None  # constant labels: annotate nothing
     meta = _metadata(
-        "plot",
-        {"points": Path(args.points)},
+        args,
         x_label=args.x_label,
         y_label=args.y_label,
         fit=None
@@ -432,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         '"benchmark": str} lines, unique by (benchmark, task_id)',
     )
     p.add_argument("--store", required=True, help="record store directory")
-    p.set_defaults(func=cmd_collect)
+    p.set_defaults(func=cmd_collect, inputs=())
 
     p = sub.add_parser(
         "verify",
@@ -442,14 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True, help="outcomes.jsonl to write")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, inputs=("samples", "gold"))
 
     p = sub.add_parser("passk", help="aggregate outcomes into per-checkpoint metrics CSV")
     p.add_argument("--outcomes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ks", default="1,64", help="comma-separated k values (default 1,64)")
     p.add_argument("--agg", choices=("macro", "micro"), default="macro")
-    p.set_defaults(func=cmd_passk)
+    p.set_defaults(func=cmd_passk, inputs=("outcomes",))
 
     p = sub.add_parser("genloss", help="aggregate per-example losses into scalars")
     p.add_argument("--records", required=True, help="genloss.jsonl")
@@ -457,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("token_weighted", "per_example"), default="token_weighted"
     )
-    p.set_defaults(func=cmd_genloss)
+    p.set_defaults(func=cmd_genloss, inputs=("records",))
 
     p = sub.add_parser("rank", help="Pareto rule-out then rank by Pass@k")
     p.add_argument("--metrics", required=True, help="metrics CSV from passk")
@@ -465,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genloss", help="genloss scalars JSON; omitting skips rule-out")
     p.add_argument("--epsilon", type=float, default=0.0, help="dominance margin (default 0)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rank)
+    p.set_defaults(func=cmd_rank, inputs=("metrics", "genloss"))
 
     p = sub.add_parser("predict", help="calibrate on labeled checkpoints, predict the rest")
     p.add_argument("--metrics", required=True)
@@ -477,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--genloss", help="genloss scalars JSON (required for genloss metrics)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, inputs=("metrics", "labels", "genloss"))
 
     p = sub.add_parser("evaluate", help="repeated-split R² and Spearman per predictor")
     p.add_argument("--metrics", required=True)
@@ -488,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--k", type=int, default=64, help="large k for the Pass@k predictor")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, inputs=("metrics", "labels", "genloss"))
 
     p = sub.add_parser("curate", help="select an SFT subset by response length")
     p.add_argument("--sft", required=True, help="sft.jsonl")
@@ -506,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="subset.jsonl to write")
     p.add_argument("--manifest", help="manifest path (default: <out>.curation-manifest.json)")
-    p.set_defaults(func=cmd_curate)
+    p.set_defaults(func=cmd_curate, inputs=("sft",))
 
     p = sub.add_parser("plot", help="scatter points with a fitted line as SVG")
     p.add_argument(
@@ -519,13 +563,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-label", default="pre-RL metric")
     p.add_argument("--y-label", default="post-RL Pass@1")
     p.add_argument("--no-fit", action="store_true", help="draw points only")
-    p.set_defaults(func=cmd_plot)
+    p.set_defaults(func=cmd_plot, inputs=("points",))
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # each input's role is the name of the option that gives its path
+    args.input_hashes = _InputHashes(
+        {role: Path(getattr(args, role)) for role in args.inputs if getattr(args, role)}
+    )
     try:
         args.func(args)
     except SamplingIncomplete as exc:
@@ -537,6 +585,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
+    finally:
+        args.input_hashes.close()
     return 0
 
 

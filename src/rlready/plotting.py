@@ -9,7 +9,6 @@ break reproducibility).
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .stats import LabeledPoint, LinearFit
 
@@ -24,6 +23,12 @@ def _axis_range(values: Sequence[float]) -> tuple[float, float]:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
+
+
+def escape(text: str) -> str:
+    """&, < and > as XML character data needs them, as xml.sax.saxutils.escape
+    writes them; that module's import chain loads urllib.request."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(value: float) -> str:

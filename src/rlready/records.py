@@ -67,7 +67,7 @@ from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import truediv
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
 from .curate import SftExample
 from .passk import TaskOutcome
@@ -514,16 +514,27 @@ def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -
     return _collapse(columns, weighted)
 
 
-def _sha256_of(path: str | Path):
+_HASH_BUFFER = 1 << 18
+
+
+def _sha256_of(path: str | Path, stopped: Callable[[], bool] | None = None):
+    """The sha256 object of the bytes of path, or None if stopped() is true
+    after a read. The file is read into one fixed buffer, and hashlib hashes
+    it without the GIL."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(_HASH_BUFFER))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            if stopped is not None and stopped():
+                return None
+            digest.update(buffer[:size])
     return digest
 
 
-def file_sha256(path: str | Path) -> str:
-    return _sha256_of(path).hexdigest()
+def file_sha256(path: str | Path, stopped: Callable[[], bool] | None = None) -> str | None:
+    """The hex sha256 of the bytes of path; None if stopped() turned true."""
+    digest = _sha256_of(path, stopped)
+    return None if digest is None else digest.hexdigest()
 
 
 def read_json(path: str | Path) -> Any:

@@ -324,6 +324,11 @@ def _fetch_one(
             if not isinstance(text, str) or not isinstance(finish, (str, type(None))):
                 raise TypeError(f"malformed choice: text {type(text).__name__}, "
                                 f"finish_reason {type(finish).__name__}")
+            try:  # a JSON escape can give a lone surrogate, which the store cannot write
+                text.encode()
+                (finish or "").encode()
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"malformed choice: not UTF-8 ({exc.reason})") from None
             return text, finish
         except (ValueError, LookupError, TypeError, AttributeError) as exc:  # malformed bodies
             last_error = exc

@@ -13,6 +13,10 @@ of digits in it is longer than _MAX_DIGITS and no exponent lies beyond
 cannot make the verifier build a huge power of ten, and no verdict depends
 on the interpreter's limit on int digits.
 
+score compares each answer with _matcher(gold), which holds the gold
+normalized and valued once per task; answers_equal(a, b) is _matcher(b)(a),
+so the rule is written once.
+
 Completions with no boxed answer count as incorrect, never excluded:
 excluding them would inflate c/n and bias Pass@k upward.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .passk import TaskOutcome
 
@@ -79,15 +83,19 @@ def extract_boxed(text: str) -> str | None:
     never closes falls back to the closed box before it; this never raises,
     whatever the input.
 
-    The boxes are tried from the last to the first, each brace-matched
-    forward from its content; the first that closes is the answer. The scan
-    is linear in len(text) even when no box closes: an earlier box still
-    open at a failed box's "{" can never close, because the failed box keeps
-    the depth above zero from there on, so each scan stops at that "{"
-    (limit) and no character is scanned twice.
+    The boxes are found from the last to the first with str.rfind, each
+    brace-matched forward from its content; the first that closes is the
+    answer. The scan is linear in len(text) even when no box closes: an
+    earlier box still open at a failed box's "{" can never close, because
+    the failed box keeps the depth above zero from there on, so each scan
+    stops at that "{" (limit) and no character is scanned twice.
     """
-    limit = len(text)
-    for start in reversed([m.end() for m in _BOXED.finditer(text)]):
+    limit = at = len(text)
+    while (at := text.rfind("\\boxed", 0, at)) >= 0:
+        box = _BOXED.match(text, at)
+        if box is None:
+            continue
+        start = box.end()
         depth = 1
         for brace in _BRACE.finditer(text, start, limit):
             depth += 1 if brace.group() == "{" else -1
@@ -149,20 +157,27 @@ def _as_fraction(s: str) -> Fraction | None:
     return n / d if n is not None and d else None
 
 
+def _matcher(gold: str) -> Callable[[str], bool]:
+    """answers_equal(., gold), with gold normalized and valued once."""
+    normal = normalize(gold)
+    value = _as_fraction(normal)
+
+    def matches(answer: str) -> bool:
+        na = normalize(answer)
+        if na == normal:
+            return True
+        return value is not None and _as_fraction(na) == value
+
+    return matches
+
+
 def answers_equal(a: str, b: str) -> bool:
     """True iff a and b normalize to the same string or to equal exact rationals.
 
     Numeric comparison is exact (Fraction), never float-with-epsilon: gold
     answers in math benchmarks are exact values.
     """
-    na, nb = normalize(a), normalize(b)
-    if na == nb:
-        return True
-    fa = _as_fraction(na)
-    if fa is None:
-        return False
-    fb = _as_fraction(nb)
-    return fb is not None and fa == fb
+    return _matcher(b)(a)
 
 
 def score(samples: Sequence[Sample], gold: GoldAnswer) -> TaskOutcome:
@@ -189,7 +204,8 @@ def score(samples: Sequence[Sample], gold: GoldAnswer) -> TaskOutcome:
     if len(checkpoints) > 1:
         raise ValueError(f"samples span multiple checkpoints: {checkpoints}")
     # samples of one task repeat answers (half of them in the score benchmark's
-    # inputs), so each distinct one is compared once; answers_equal is pure
+    # inputs), so each distinct one is compared once; the matcher is pure
+    matches = _matcher(gold.answer)
     verdicts: dict[str, bool] = {}
     c = 0
     for s in samples:
@@ -197,7 +213,7 @@ def score(samples: Sequence[Sample], gold: GoldAnswer) -> TaskOutcome:
         if boxed is None:
             continue
         if boxed not in verdicts:
-            verdicts[boxed] = answers_equal(boxed, gold.answer)
+            verdicts[boxed] = matches(boxed)
         c += verdicts[boxed]
     return TaskOutcome(
         checkpoint_id=checkpoints[0],

@@ -285,3 +285,18 @@ def test_chunk_fold_gives_the_serial_report_or_error(tmp_path, capsys, monkeypat
     path = tmp_path / "genloss.jsonl"
     path.write_bytes(data)
     assert_serial_outcome(path, capsys, monkeypatch, chunk_bytes)
+
+
+def test_an_id_written_escaped_and_raw_is_one_id(tmp_path, capsys, monkeypatch):
+    # "ex-1é" in one chunk and "ex-1é" in another are one example id
+    lines = [_line(f"ckpt-{i % 3}", f"ex-{i}", repr(i * 1.25)) for i in range(60)]
+    lines[10] = _line("ckpt-1", "ex-1é")
+    lines[50] = _line("ckpt-1", "ex-1é", ids=lambda v: json.dumps(v, ensure_ascii=False))
+    assert "\\u00e9" in lines[10] and "é" in lines[50]
+    path = tmp_path / "genloss.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    expected = serial_genloss(path, capsys, monkeypatch)
+    assert expected[0] == 1 and "line 51: duplicate genloss key" in expected[1][0]
+    for chunk_bytes in (96, 1 << 16):
+        with chunked(monkeypatch, chunk_bytes):
+            assert genloss(path, capsys) == expected

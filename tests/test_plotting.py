@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from rlready.plotting import plot_scatter
+from rlready.plotting import escape, plot_scatter
 from rlready.stats import LabeledPoint, LinearFit
 
 
@@ -63,3 +67,19 @@ def test_fit_line_kept_in_view():
     svg = plot_scatter(pts((0, 0), (1, 0.1)), LinearFit(10.0, -2.0))
     assert 'stroke="#d62728"' in svg
     assert "nan" not in svg and "-inf" not in svg
+
+
+@pytest.mark.parametrize("text", ["", "a<b & c>d", "&amp; &lt;", "<<&>>", "'\"\n"])
+def test_escape_writes_what_saxutils_writes(text):
+    from xml.sax.saxutils import escape as sax_escape
+
+    assert escape(text) == sax_escape(text)
+
+
+def test_importing_the_cli_loads_no_url_http_or_xml_module():
+    code = ("import sys, rlready.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'xml.sax'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -465,6 +465,34 @@ class TestSampleCompletions:
             assert sample_completions(make_job(server.url), store) == 3
         assert stored_keys(store) == {(f"t{i}", j) for i in range(2) for j in range(3)}
 
+    @pytest.mark.parametrize("choice", [{"text": "bad \ud800 text"},
+                                        {"text": "ok", "finish_reason": "\udfff"}])
+    def test_a_choice_that_is_not_utf8_is_retried_and_never_stored(self, tmp_path, choice):
+        # json.loads reads the escape \ud800 as a lone surrogate, which UTF-8
+        # cannot encode: it must fail its task, not the store's append
+        def script(status, body):
+            if b"problem 1" in body:
+                with server.lock:
+                    served.append(status)
+                    if len(served) >= 2:  # t1's second sample and its retry
+                        body = json.dumps({"choices": [choice]}).encode()
+            return response(body, b"Content-Length: %d" % len(body)), False
+
+        served = []
+        store = RecordStore(tmp_path / "store")
+        with run_server() as server:
+            server.script = script
+            serve_with(server, ScriptedHandler)
+            job = make_job(server.url, n_tasks=3, n=2, max_concurrency=1, max_retries=1)
+            with pytest.raises(SamplingIncomplete) as exc:
+                sample_completions(job, store)
+            assert server.request_count == 7
+        failures = [json.loads(line) for line in exc.value.failures_path.read_text().splitlines()]
+        assert [f["task_id"] for f in failures] == ["t1"]
+        assert "malformed choice" in failures[0]["error"]
+        store.verify()
+        assert stored_keys(store) == {("t0", 0), ("t0", 1), ("t1", 0), ("t2", 0), ("t2", 1)}
+
     @pytest.mark.parametrize(
         "key", ["sk-secret\r\nX-Injected: 1", "sk-secret\n", "sk-\tsecret", "sk-secret\x7f",
                 "sk-secret\x1b", "sk-sécret"],

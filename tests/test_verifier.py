@@ -170,16 +170,24 @@ class TestScore:
             assert (shuffled.n, shuffled.c) == (base.n, base.c)
 
     def test_each_distinct_answer_is_compared_once(self, monkeypatch):
-        calls = []
+        golds, calls = [], []
+        matcher = verifier._matcher
 
-        def counting_answers_equal(a, b):
-            calls.append(a)
-            return answers_equal(a, b)
+        def counting_matcher(gold):
+            golds.append(gold)
+            matches = matcher(gold)
 
-        monkeypatch.setattr(verifier, "answers_equal", counting_answers_equal)
+            def counting_matches(answer):
+                calls.append(answer)
+                return matches(answer)
+
+            return counting_matches
+
+        monkeypatch.setattr(verifier, "_matcher", counting_matcher)
         texts = ["\\boxed{1/2}", "\\boxed{0.5}", "\\boxed{1/2}", "no", "\\boxed{0.5}"]
         out = score(self._samples(texts), GoldAnswer("math500", "t1", "0.5"))
         assert (out.n, out.c) == (5, 4)
+        assert golds == ["0.5"]  # the gold is normalized and valued once per task
         assert sorted(calls) == ["0.5", "1/2"]
 
     def test_empty_rejected(self):
