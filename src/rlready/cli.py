@@ -3,10 +3,21 @@ evaluate, curate, plot.
 
 Every report embeds the provenance needed to re-run it: tool version, seed,
 k, modes, and sha256 hashes of the input files. Each command names its input
-files when it starts, and a helper thread hashes the large regular ones
-while the command reads them (_InputHashes). Randomized commands require an
-explicit --seed; there are no default seeds. Outputs are deterministic:
-identical inputs and flags produce identical bytes.
+files when it starts, and a forked helper process hashes the large regular
+ones while the command reads them (_InputHashes); the hashes are joined
+after the inputs are read and before the first output is written, so an
+output written over an input never stands in for it. Randomized commands
+require an explicit --seed; there are no default seeds. Outputs are
+deterministic: identical inputs and flags produce identical bytes.
+
+verify folds a large samples file in parts, one per usable CPU, each part
+but the first in a forked worker (_fold_in_parts); wherever the parts
+cannot vouch for the serial fold's result, the serial fold runs instead.
+Forking needs a process with no other thread, so the helper is a process,
+not a thread; a fork, not a spawn, because hash(str) is salted per process
+and the workers' key hashes are checked together. A child never prints: it
+leaves through os._exit, and the parent kills and reaps every child on
+every path, so no process outlives main().
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Errors print one
 machine-parsable line: "error: <category>: <message>".
@@ -16,9 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
+import signal
 import sys
 import threading
+from array import array
 from dataclasses import MISSING, fields, replace
 from itertools import groupby
 from pathlib import Path
@@ -46,8 +60,10 @@ from .records import (
     file_sha256,
     finite_float,
     genloss_file_by_checkpoint,
+    iter_part,
     iter_records,
     load,
+    part_offsets,
     read_json,
 )
 from .sampler import SamplingIncomplete, SamplingJob, sample_completions
@@ -64,8 +80,78 @@ _CONFIG_REQUIRED = {
 }
 
 
-# a smaller file hashes in about a millisecond, less than a thread costs
+# a smaller file hashes in about a millisecond, less than a fork costs
 _HELPER_MIN_BYTES = 1 << 20
+# verify folds a part of at least this size in each process
+_PART_BYTES = 4 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform with no CPU affinity
+        return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether a fork is safe here: a thread of this process would not run in
+    the child, yet the locks it held would stay held."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+class _Children:
+    """Forked children, each of which sends one marshalled value through a
+    pipe and exits. close() kills and reaps every child not yet reaped."""
+
+    def __init__(self):
+        self._pipes: dict[int, int] = {}  # pid -> read end of its pipe
+
+    def fork(self, work, *args) -> int:
+        """The pid of a child that sends work(*args) and exits 0, or exits 1,
+        silently, on any exception, KeyboardInterrupt included."""
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as fh:
+                    fh.write(marshal.dumps(work(*args)))
+                code = 0
+            except BaseException:
+                pass  # the exit code tells the parent
+            finally:
+                os._exit(code)  # no atexit handler, flush or finally of the parent's
+        os.close(write)
+        self._pipes[pid] = read
+        return pid
+
+    def result(self, pid: int):
+        """What the child pid sent, once it exited 0; None if it failed or died."""
+        read = self._pipes[pid]
+        chunks = []
+        while chunk := os.read(read, 1 << 20):
+            chunks.append(chunk)
+        _, status = os.waitpid(pid, 0)
+        del self._pipes[pid]
+        os.close(read)
+        return marshal.loads(b"".join(chunks)) if status == 0 else None
+
+    def close(self) -> None:
+        for pid, read in list(self._pipes.items()):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            del self._pipes[pid]
+            os.close(read)
 
 
 def _stamp(path: Path) -> tuple | None:
@@ -80,51 +166,54 @@ def _stamp(path: Path) -> tuple | None:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
+def _hash_files(stamps: list[tuple[str, tuple]]) -> dict[str, tuple]:
+    hashed = {}
+    for path, stamp in stamps:
+        try:
+            hashed[path] = (stamp, file_sha256(path))
+        except OSError:
+            pass  # digests() hashes it again and raises the error there
+    return hashed
+
+
 class _InputHashes:
     """The sha256 of each input file of one command, by role.
 
-    A helper thread hashes the regular files of _HELPER_MIN_BYTES or more
-    while the command reads them; hashlib hashes without the GIL, so the
-    hash runs on a second core. digests() hashes on the calling thread,
-    after the work, every other path (two readers would split a FIFO's data
-    between them), a file the helper could not hash, and one whose stamp
-    changed since the command started (an output written over its input):
-    so every error and every hash is the one a hash after the work gives.
-    close() stops the helper at its next buffer and joins it.
+    A forked helper process hashes the regular files of _HELPER_MIN_BYTES
+    or more while the command reads them, on another core, and sends
+    {path: (stamp, digest)} back through a pipe. digests() hashes in the
+    command's process every other path (two readers would split a FIFO's
+    data between them), a file the helper could not hash, and one whose
+    stamp changed since the command started; with no os.fork, or with
+    another thread alive, it hashes every input there. So every error and
+    every hash is the one a hash in the command's process gives. close()
+    kills the helper and reaps it, so an error exit does not wait for a
+    large file to be hashed.
     """
 
     def __init__(self, inputs: dict[str, Path]):
         self._inputs = sorted(inputs.items())
-        self._hashed: dict[Path, tuple] = {}
-        self._stop = threading.Event()
-        stamps = [(path, _stamp(path)) for _, path in self._inputs]
+        self._hashed: dict[str, tuple] = {}
+        self._children = _Children()
+        self._helper = None
+        stamps = [(str(path), _stamp(path)) for _, path in self._inputs]
         large = [(path, stamp) for path, stamp in stamps if stamp and stamp[2] >= _HELPER_MIN_BYTES]
-        self._thread = None
-        if large:
-            self._thread = threading.Thread(target=self._hash, args=(large,), name="rlready-hash")
-            self._thread.start()
-
-    def _hash(self, stamps: list[tuple[Path, tuple]]) -> None:
-        for path, stamp in stamps:
+        if large and _can_fork():
             try:
-                digest = file_sha256(path, self._stop.is_set)
+                self._helper = self._children.fork(_hash_files, large)
             except OSError:
-                continue  # digests() hashes it again and raises the error there
-            if digest is None:
-                return  # stopped
-            self._hashed[path] = (stamp, digest)
+                pass  # no process to spare: digests() hashes every input
 
     def close(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
+        self._children.close()
 
     def digests(self) -> dict[str, dict]:
-        if self._thread is not None:
-            self._thread.join()
+        if self._helper is not None:
+            self._hashed = self._children.result(self._helper) or {}
+            self._helper = None
         out = {}
         for role, path in self._inputs:
-            stamp, digest = self._hashed.get(path, (None, None))
+            stamp, digest = self._hashed.get(str(path), (None, None))
             if digest is None or _stamp(path) != stamp:
                 digest = file_sha256(path)
             out[role] = {"path": str(path), "sha256": digest}
@@ -213,14 +302,12 @@ def cmd_collect(args) -> None:
     print(f"wrote {written} samples to {store.path('samples')}")
 
 
-def cmd_verify(args) -> None:
-    gold_records = {(g.benchmark_id, g.task_id): g for g in load("gold", args.gold)}
-    # the sampler appends whole tasks, so each run of one (checkpoint, task)
-    # key is scored as the stream leaves it; a key split into several runs
-    # (a resumed collect) adds up their (n, c), as c is a per-sample sum
-    totals: dict[tuple[str, str, str], tuple[int, int]] = {}
-    missing = set()
-    samples = iter_records("samples", args.samples)
+def _score_runs(samples, gold_records: dict, totals: dict, missing: set) -> None:
+    """Score each run of one (checkpoint, benchmark, task) key in samples,
+    adding its (n, c) to totals[key]; a key with no gold goes to missing."""
+    # the sampler appends whole tasks, so each run of one key is scored as
+    # the stream leaves it; a key split into several runs (a resumed collect,
+    # or a part boundary) adds up their (n, c), as c is a per-sample sum
     for key, run in groupby(samples, key=lambda s: (s.checkpoint_id, s.benchmark_id, s.task_id)):
         gold = gold_records.get(key[1:])
         if gold is None:
@@ -229,12 +316,77 @@ def cmd_verify(args) -> None:
         outcome = score(list(run), gold)
         n, c = totals.get(key, (0, 0))
         totals[key] = (n + outcome.n, c + outcome.c)
+
+
+def _fold_part(path, start: int, end: int, gold_records: dict) -> tuple[dict, set, bytes]:
+    """The totals, missing keys and packed key hashes of one part of a samples file."""
+    totals, missing, hashes = {}, set(), array("q")
+    _score_runs(iter_part("samples", path, start, end, hashes), gold_records, totals, missing)
+    return totals, missing, hashes.tobytes()
+
+
+def _fold_in_parts(path, gold_records: dict) -> tuple[dict, set] | None:
+    """The serial fold's totals and missing keys of the samples file at path,
+    folded in one part per usable CPU, each of at least _PART_BYTES: the
+    first in this process, each other in a forked worker.
+
+    None where the serial fold must decide: an invalid line or a \\r that
+    ends no \\r\\n in some part (iter_part), a key hash seen twice within a
+    part or across parts, a worker that failed or died, no safe fork, fewer
+    than 2 parts, or a path that is not a regular file.
+    """
+    if not _can_fork():
+        return None
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    parts = min(_usable_cpus(), st.st_size // _PART_BYTES)
+    if not S_ISREG(st.st_mode) or parts < 2:
+        return None
+    children = _Children()
+    try:
+        offsets = part_offsets(path, st.st_size, parts)
+        pids = [
+            children.fork(_fold_part, path, start, end, gold_records)
+            for start, end in zip(offsets[1:-1], offsets[2:])
+        ]
+        results = [_fold_part(path, offsets[0], offsets[1], gold_records)]
+        results += [children.result(pid) for pid in pids]
+    except (OSError, ValueError):
+        return None
+    finally:
+        children.close()
+    if None in results:
+        return None
+    totals: dict = {}
+    missing: set = set()
+    hashes = array("q")
+    for part_totals, part_missing, part_hashes in results:
+        for key, (n, c) in part_totals.items():
+            total_n, total_c = totals.get(key, (0, 0))
+            totals[key] = (total_n + n, total_c + c)
+        missing |= part_missing
+        hashes.frombytes(part_hashes)
+    if len(set(hashes)) != len(hashes):
+        return None  # a duplicate key, or a collision iter_records confirms
+    return totals, missing
+
+
+def cmd_verify(args) -> None:
+    gold_records = {(g.benchmark_id, g.task_id): g for g in load("gold", args.gold)}
+    folded = _fold_in_parts(args.samples, gold_records)
+    if folded is None:
+        totals, missing = {}, set()
+        _score_runs(iter_records("samples", args.samples), gold_records, totals, missing)
+    else:
+        totals, missing = folded
     if missing:
         _, bench, task = min(missing)
         raise ValueError(f"no gold answer for task ({bench!r}, {task!r})")
     outcomes = [TaskOutcome(*key, n, c) for key, (n, c) in sorted(totals.items())]
-    dump("outcomes", outcomes, args.out)
     meta = _metadata(args, verifier_ruleset_version=RULESET_VERSION, n_outcomes=len(outcomes))
+    dump("outcomes", outcomes, args.out)
     _write_json(Path(str(args.out) + ".meta.json"), meta)
     print(f"scored {len(outcomes)} tasks -> {args.out}")
 
@@ -387,10 +539,8 @@ def cmd_curate(args) -> None:
         mixture_parts=mixture_parts,
     )
     selected = select(examples, spec)
-    dump("sft", selected, args.out)
-
     manifest = {
-        "metadata": _metadata(args),
+        "metadata": _metadata(args),  # before --out, which may name the input, is written
         "spec": {
             "strategy": spec.strategy,
             "count": spec.count,
@@ -401,6 +551,7 @@ def cmd_curate(args) -> None:
         "dedup": "none",
         "selected_ids": [e.example_id for e in selected],
     }
+    dump("sft", selected, args.out)
     out = Path(args.out)
     if args.validation_fraction is not None:
         train, val = split_validation(selected, args.validation_fraction, seed=args.seed)
@@ -480,8 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="score samples against gold answers; holds one task group of samples "
-        "plus one (n, c) per task",
+        help="score samples against gold answers; folds a samples file of 8 MiB or more "
+        "in parts, up to one per CPU; holds one task group of samples per process, "
+        "one (n, c) per task and one 8 B hash per sample key",
     )
     p.add_argument("--samples", required=True)
     p.add_argument("--gold", required=True)

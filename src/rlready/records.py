@@ -21,18 +21,21 @@ text, finish_reason, prompt, response and problem. A str | None field may
 be absent, and is left out on write when it is None. Unknown fields are
 ignored.
 
-There is one reader, iter_records, which streams a file's validated records
-and keeps one hash per key for the per-kind uniqueness check; a hash seen
+The reader is iter_records, which streams a file's validated records and
+keeps one hash per key for the per-kind uniqueness check; a hash seen
 before is confirmed by reading the file again up to that line, so the check
 stays exact. The string fields of a record's key are interned, so the
 records read from a file share one string object per distinct id. load is
-list(iter_records(...)). A line is decoded by the JSON
-scanner when it holds one value and JSON whitespace after it; any other line
-goes to json.loads, which gives the value or the error, so a line is read
-and an error worded as json.loads reads and words it. The commands that
-read the large files fold the stream: genloss keeps one number per record
-and a token total per checkpoint, and verify holds one task group of
-samples plus one (n, c) per task. A file is rejected on its first invalid
+list(iter_records(...)). iter_part reads the lines of one byte range of a
+file, cut at line starts by part_offsets, for a fold in parts; it raises on
+any line it might read differently from iter_records, whose read of the
+whole file then gives the error. A line is decoded by the JSON scanner when
+it holds one value and JSON whitespace after it; any other line goes to
+json.loads, which gives the value or the error, so a line is read and an
+error worded as json.loads reads and words it. The commands that read the
+large files fold the stream: genloss keeps one number per record and a
+token total per checkpoint, and verify holds one task group of samples per
+process plus one (n, c) per task. A file is rejected on its first invalid
 line, reporting the line number and offending field. A number field must be
 finite: NaN, infinities and integers beyond the float range are rejected.
 
@@ -67,7 +70,7 @@ from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import truediv
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
 from .curate import SftExample
 from .passk import TaskOutcome
@@ -323,6 +326,44 @@ def iter_records(kind: str, path: str | Path) -> Iterator:
         raise ValueError(f"{path}: line {undecodable_line(path)}: not valid UTF-8") from None
 
 
+def part_offsets(path: str | Path, size: int, parts: int) -> list[int]:
+    """parts + 1 ascending byte offsets that cut the first size bytes of path
+    into parts of about equal size: 0, then each at a line start, then size."""
+    offsets = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, parts):
+            fh.seek(max(size * i // parts, offsets[-1], 1) - 1)
+            fh.readline()  # to the start of the next line
+            offsets.append(min(fh.tell(), size))
+    offsets.append(size)
+    return offsets
+
+
+def iter_part(kind: str, path: str | Path, start: int, end: int, hashes: array) -> Iterator:
+    """Yield the records of the lines in bytes [start, end) of path, which
+    part_offsets cut, as iter_records reads them, and append each key's hash
+    to hashes; the caller checks the hashes of every part for a repeat.
+
+    The bytes are split at each \\n, so a line that the text reader would
+    split elsewhere raises a ValueError here: a \\r that does not close a
+    \\r\\n. So does an invalid line, a byte that is not UTF-8, or a file that
+    ends before end. Its message is not iter_records's: the caller reads the
+    file again with iter_records, which gives the error at its line.
+    """
+    spec = _kind(kind)
+    key_len = spec.key_len
+    for chunk in _chunks(path, start, end):
+        if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+            raise ValueError(f"{path}: a \\r that ends no \\r\\n")
+        lines = chunk.decode("utf-8").split("\n")
+        if not lines[-1]:
+            lines.pop()  # after the chunk's last \n
+        for line in lines:
+            values, record = _parse(line, spec)
+            hashes.append(hash(tuple(values[:key_len])))
+            yield record
+
+
 def load(kind: str, path: str | Path) -> list:
     """Load and validate one whole JSONL file of the given kind (see iter_records)."""
     return list(iter_records(kind, path))
@@ -438,18 +479,22 @@ def _pattern_columns(text: str) -> list | None:
 _CHUNK_BYTES = 1 << 16
 
 
-def _chunks(path: str | Path) -> Iterator[bytes]:
-    """The whole lines of path, about 64 KiB at a time."""
+def _chunks(path: str | Path, start: int = 0, end: int | None = None) -> Iterator[bytes]:
+    """The whole lines of bytes [start, end) of path, or from start to its
+    end if end is None, about 64 KiB at a time: a read, then the rest of
+    its last line. A ValueError if the file ends before end."""
     with open(path, "rb") as fh:
-        rest = b""
-        while data := fh.read(_CHUNK_BYTES):
-            data = rest + data
-            cut = data.rfind(b"\n") + 1
-            rest = data[cut:]
-            if cut:
-                yield data[:cut]
-        if rest:
-            yield rest
+        fh.seek(start)
+        while end is None or start < end:
+            chunk = fh.read(_CHUNK_BYTES if end is None else min(_CHUNK_BYTES, end - start))
+            if not chunk.endswith(b"\n"):
+                chunk += fh.readline(-1 if end is None else end - start - len(chunk))
+            if not chunk:
+                if end is None:
+                    return
+                raise ValueError(f"{path}: ends before byte {end}")
+            start += len(chunk)
+            yield chunk
 
 
 def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
@@ -517,24 +562,20 @@ def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -
 _HASH_BUFFER = 1 << 18
 
 
-def _sha256_of(path: str | Path, stopped: Callable[[], bool] | None = None):
-    """The sha256 object of the bytes of path, or None if stopped() is true
-    after a read. The file is read into one fixed buffer, and hashlib hashes
-    it without the GIL."""
+def _sha256_of(path: str | Path):
+    """The sha256 object of the bytes of path. The file is read into one
+    fixed buffer, and hashlib hashes it without the GIL."""
     digest = hashlib.sha256()
     buffer = memoryview(bytearray(_HASH_BUFFER))
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(buffer):
-            if stopped is not None and stopped():
-                return None
             digest.update(buffer[:size])
     return digest
 
 
-def file_sha256(path: str | Path, stopped: Callable[[], bool] | None = None) -> str | None:
-    """The hex sha256 of the bytes of path; None if stopped() turned true."""
-    digest = _sha256_of(path, stopped)
-    return None if digest is None else digest.hexdigest()
+def file_sha256(path: str | Path) -> str:
+    """The hex sha256 of the bytes of path."""
+    return _sha256_of(path).hexdigest()
 
 
 def read_json(path: str | Path) -> Any:

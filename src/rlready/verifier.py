@@ -114,28 +114,36 @@ def normalize(answer: str) -> str:
     runs, drop a trailing .0...0, and rewrite a trailing % on a number into
     /100 form. Idempotent; case is preserved.
     """
-    s = _LEFT_RIGHT.sub("", answer)
+    # each rewrite runs only when the character its pattern needs is present
+    s = _LEFT_RIGHT.sub("", answer) if "\\" in answer else answer
     s = s.replace("$", "")
     s = " ".join(s.split())
-    s = _DFRAC.sub(r"\\frac", s)
-    while True:
-        rewritten = _FRAC.sub(r"\1/\2", s)
-        if rewritten == s:
-            break
-        s = rewritten
-    s = _DIGIT_COMMA.sub("", s)
-    s = _TRAILING_ZEROS.sub("", s)
-    m = _PERCENT.match(s)
-    if m:
-        s = m.group(1) + "/100"
+    if "\\" in s:
+        s = _DFRAC.sub(r"\\frac", s)
+        while True:
+            rewritten = _FRAC.sub(r"\1/\2", s)
+            if rewritten == s:
+                break
+            s = rewritten
+    if "," in s:
+        s = _DIGIT_COMMA.sub("", s)
+    if "." in s:
+        s = _TRAILING_ZEROS.sub("", s)
+    if "%" in s:
+        m = _PERCENT.match(s)
+        if m:
+            s = m.group(1) + "/100"
     return s
 
 
 def _number(s: str) -> Fraction | None:
     """Fraction(s), or None if s is no number, or has a run of more than
     _MAX_DIGITS digits or an exponent beyond +-_MAX_DIGITS."""
-    # Fraction reads each digit run with int(), and an underscore joins digits
-    if any(len(run) - run.count("_") > _MAX_DIGITS for run in _DIGIT_RUN.findall(s)):
+    # Fraction reads each digit run with int(), and an underscore joins digits;
+    # a run longer than _MAX_DIGITS needs a longer string
+    if len(s) > _MAX_DIGITS and any(
+        len(run) - run.count("_") > _MAX_DIGITS for run in _DIGIT_RUN.findall(s)
+    ):
         return None
     try:
         exponent = _EXPONENT.search(s)

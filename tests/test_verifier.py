@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from corpus_verifier import EQUALITY_CASES, EXTRACTION_CASES, NORMALIZATION_CASES
 from reference_verifier import extract_boxed as reference_extract_boxed
+from reference_verifier import normalize as reference_normalize
 from rlready import verifier
 from rlready.verifier import (
     GoldAnswer,
@@ -105,6 +106,34 @@ def test_normalize_idempotent(text):
 @given(st.text(max_size=100))
 def test_answers_equal_reflexive(text):
     assert answers_equal(text, text)
+
+
+def test_normalize_matches_the_reference_on_the_corpus():
+    answers = [raw for raw, _ in NORMALIZATION_CASES]
+    answers += [side for a, b, _ in EQUALITY_CASES for side in (a, b)]
+    answers += [expected for _, expected in EXTRACTION_CASES if expected is not None]
+    for answer in answers:
+        assert normalize(answer) == reference_normalize(answer)
+
+
+# pieces of LaTeX answers: every trigger character of a rewrite, the commands
+# it rewrites, digits and the spaces the whitespace rule collapses
+_LATEX_TOKENS = st.sampled_from(
+    ["\\", "\\left", "\\right", "\\frac", "\\dfrac", "\\leftarrow", "{", "}", "(", ")",
+     "$", ",", ".", "%", "0", "1", "00", "25", "-", "+", "/", " ", "  ", "\t", "x", "ab", "٣"]
+)
+
+
+@settings(max_examples=2000)
+@given(st.lists(_LATEX_TOKENS, max_size=30))
+def test_normalize_matches_the_reference_on_latex(tokens):
+    answer = "".join(tokens)
+    assert normalize(answer) == reference_normalize(answer)
+
+
+@given(st.text(max_size=100))
+def test_normalize_matches_the_reference_on_any_text(text):
+    assert normalize(text) == reference_normalize(text)
 
 
 def test_normalize_idempotent_on_corpus():
