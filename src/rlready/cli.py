@@ -3,21 +3,20 @@ evaluate, curate, plot.
 
 Every report embeds the provenance needed to re-run it: tool version, seed,
 k, modes, and sha256 hashes of the input files. Each command names its input
-files when it starts, and a forked helper process hashes the large regular
-ones while the command reads them (_InputHashes); the hashes are joined
-after the inputs are read and before the first output is written, so an
-output written over an input never stands in for it. Randomized commands
-require an explicit --seed; there are no default seeds. Outputs are
-deterministic: identical inputs and flags produce identical bytes.
+files in the parser, and hashes them after it has read them and before it
+writes its first output (_metadata), so an output written over an input
+never stands in for it. Randomized commands require an explicit --seed;
+there are no default seeds. Outputs are deterministic: identical inputs and
+flags produce identical bytes.
 
 verify folds a large samples file in parts, one per usable CPU, each part
 but the first in a forked worker (_fold_in_parts); wherever the parts
 cannot vouch for the serial fold's result, the serial fold runs instead.
-Forking needs a process with no other thread, so the helper is a process,
-not a thread; a fork, not a spawn, because hash(str) is salted per process
-and the workers' key hashes are checked together. A child never prints: it
-leaves through os._exit, and the parent kills and reaps every child on
-every path, so no process outlives main().
+A fork, not a spawn, because hash(str) is salted per process and the
+workers' key hashes are checked together; and only with no other thread
+alive, as a thread would not run in the child yet its locks would stay
+held. A child never prints: it leaves through os._exit, and the parent
+kills and reaps every child on every path, so no process outlives main().
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Errors print one
 machine-parsable line: "error: <category>: <message>".
@@ -80,9 +79,11 @@ _CONFIG_REQUIRED = {
 }
 
 
-# a smaller file hashes in about a millisecond, less than a fork costs
-_HELPER_MIN_BYTES = 1 << 20
-# verify folds a part of at least this size in each process
+# verify folds a part of at least this size in each process. On 2 vCPUs of a
+# shared Xeon VM (15 alternating runs per size on prefixes of a bench samples
+# file) the serial fold took 4.8 ms/MB, and 2 parts took 1.06 of its time at
+# 2 MB, 0.86 at 4 MB and 0.71 at 8 MB: parts pay from about 2 MB, and parts
+# of 4 MiB keep a margin for a worker slowed by other load
 _PART_BYTES = 4 << 20
 
 
@@ -110,26 +111,35 @@ class _Children:
     def fork(self, work, *args) -> int:
         """The pid of a child that sends work(*args) and exits 0, or exits 1,
         silently, on any exception, KeyboardInterrupt included."""
-        read, write = os.pipe()
+        # SIGINT waits from before the fork until the parent has registered
+        # the child, so a Ctrl-C can leave no child unregistered, and, in the
+        # child, until it is inside its try, so it never runs up the parent's
+        # stack; a SIGINT already caught is raised here, before any fork
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read)
-            os.close(write)
-            raise
-        if pid == 0:
-            code = 1
+            read, write = os.pipe()
             try:
-                os.close(read)
-                with open(write, "wb") as fh:
-                    fh.write(marshal.dumps(work(*args)))
-                code = 0
+                pid = os.fork()
             except BaseException:
-                pass  # the exit code tells the parent
-            finally:
-                os._exit(code)  # no atexit handler, flush or finally of the parent's
-        os.close(write)
-        self._pipes[pid] = read
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(read)
+                    with open(write, "wb") as fh:
+                        fh.write(marshal.dumps(work(*args)))
+                    code = 0
+                except BaseException:
+                    pass  # the exit code tells the parent
+                finally:
+                    os._exit(code)  # no atexit handler, flush or finally of the parent's
+            os.close(write)
+            self._pipes[pid] = read
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a waiting SIGINT raises here
         return pid
 
     def result(self, pid: int):
@@ -154,78 +164,19 @@ class _Children:
             os.close(read)
 
 
-def _stamp(path: Path) -> tuple | None:
-    """The device, inode, size, mtime and ctime of a regular file, which a
-    write changes; None for any other path."""
-    try:
-        st = os.stat(path)
-    except (OSError, ValueError):
-        return None
-    if not S_ISREG(st.st_mode):
-        return None
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
-
-
-def _hash_files(stamps: list[tuple[str, tuple]]) -> dict[str, tuple]:
-    hashed = {}
-    for path, stamp in stamps:
-        try:
-            hashed[path] = (stamp, file_sha256(path))
-        except OSError:
-            pass  # digests() hashes it again and raises the error there
-    return hashed
-
-
-class _InputHashes:
-    """The sha256 of each input file of one command, by role.
-
-    A forked helper process hashes the regular files of _HELPER_MIN_BYTES
-    or more while the command reads them, on another core, and sends
-    {path: (stamp, digest)} back through a pipe. digests() hashes in the
-    command's process every other path (two readers would split a FIFO's
-    data between them), a file the helper could not hash, and one whose
-    stamp changed since the command started; with no os.fork, or with
-    another thread alive, it hashes every input there. So every error and
-    every hash is the one a hash in the command's process gives. close()
-    kills the helper and reaps it, so an error exit does not wait for a
-    large file to be hashed.
-    """
-
-    def __init__(self, inputs: dict[str, Path]):
-        self._inputs = sorted(inputs.items())
-        self._hashed: dict[str, tuple] = {}
-        self._children = _Children()
-        self._helper = None
-        stamps = [(str(path), _stamp(path)) for _, path in self._inputs]
-        large = [(path, stamp) for path, stamp in stamps if stamp and stamp[2] >= _HELPER_MIN_BYTES]
-        if large and _can_fork():
-            try:
-                self._helper = self._children.fork(_hash_files, large)
-            except OSError:
-                pass  # no process to spare: digests() hashes every input
-
-    def close(self) -> None:
-        self._children.close()
-
-    def digests(self) -> dict[str, dict]:
-        if self._helper is not None:
-            self._hashed = self._children.result(self._helper) or {}
-            self._helper = None
-        out = {}
-        for role, path in self._inputs:
-            stamp, digest = self._hashed.get(str(path), (None, None))
-            if digest is None or _stamp(path) != stamp:
-                digest = file_sha256(path)
-            out[role] = {"path": str(path), "sha256": digest}
-        return out
-
-
 def _metadata(args, **extra) -> dict:
     md = {
         "tool": "rlready",
         "tool_version": __version__,
         "command": args.command,
-        "inputs": args.input_hashes.digests(),
+        # each input's role is the name of the option that gives its path;
+        # called after the command has read its inputs and before its first
+        # write, so an output written over an input never stands in for it
+        "inputs": {
+            role: {"path": str(Path(path)), "sha256": file_sha256(path)}
+            for role in sorted(args.inputs)
+            if (path := getattr(args, role))
+        },
     }
     md.update(extra)
     return md
@@ -722,10 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # each input's role is the name of the option that gives its path
-    args.input_hashes = _InputHashes(
-        {role: Path(getattr(args, role)) for role in args.inputs if getattr(args, role)}
-    )
     try:
         args.func(args)
     except SamplingIncomplete as exc:
@@ -737,8 +684,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
-    finally:
-        args.input_hashes.close()
     return 0
 
 

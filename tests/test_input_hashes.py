@@ -1,15 +1,11 @@
-"""Input hashes for report metadata, taken in a forked helper process while
-the command reads its inputs.
-
-The report bytes, every error line and every exit code must be those of a
-hash taken in the command's process, and no helper process may outlive
-main(). An input that the command writes over is hashed before the write.
+"""Input hashes for report metadata, taken after the command has read its
+inputs and before it writes its first output, so that an input the command
+writes over is recorded as it was read.
 """
 
 import hashlib
 import json
 import os
-import time
 
 import pytest
 
@@ -30,22 +26,6 @@ def test_file_sha256_is_the_sha256_of_the_bytes(tmp_path, size):
     assert file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_a_helper_hashes_the_files_of_a_megabyte_or_more(tmp_path):
-    small, large = tmp_path / "small", tmp_path / "large"
-    small.write_bytes(b"x" * (cli._HELPER_MIN_BYTES - 1))
-    large.write_bytes(b"x" * cli._HELPER_MIN_BYTES)
-    for inputs, helped in (({"a": small}, False), ({"a": small, "b": large}, True)):
-        hashes = cli._InputHashes(inputs)
-        try:
-            assert (hashes._helper is not None) == helped
-            assert hashes.digests() == {
-                role: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-                for role, path in inputs.items()}
-        finally:
-            hashes.close()
-    no_child_is_left()
-
-
 def verify(*argv):
     return main(["verify", "--samples", "samples.jsonl", "--gold", "gold.jsonl",
                  "--out", "outcomes.jsonl", *argv])
@@ -58,7 +38,6 @@ def no_child_is_left():
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_HELPER_MIN_BYTES", 0)  # the helper takes these small files
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gold.jsonl").write_text(GOLD, encoding="utf-8")
     yield tmp_path
@@ -113,32 +92,3 @@ def test_an_input_written_over_records_the_hash_of_the_input(workdir):
                  "--out", "samples.jsonl"]) == 0
     meta = json.loads((workdir / "samples.jsonl.meta.json").read_text())
     assert meta["inputs"]["samples"]["sha256"] == read
-
-
-def test_ctrl_c_during_the_read_kills_the_helper_and_reaps_it(workdir, monkeypatch, capfd):
-    (workdir / "samples.jsonl").write_text(SAMPLE % (0, '"\\\\boxed{7}"'), encoding="utf-8")
-    helpers = []
-
-    def endless_sha256(path):
-        time.sleep(60)  # a file that takes the helper longer than the test may wait
-
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        helpers.append(pid)
-        return pid
-
-    def interrupted_read(kind, path):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(cli, "file_sha256", endless_sha256)
-    monkeypatch.setattr(cli, "iter_records", interrupted_read)
-    monkeypatch.setattr(os, "fork", fork)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        verify()
-    assert time.monotonic() - start < 30
-    assert len(helpers) == 1 and helpers[0] > 0  # the helper was forked, then killed
-    no_child_is_left()
-    assert capfd.readouterr() == ("", "")

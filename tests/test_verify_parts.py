@@ -12,6 +12,7 @@ stdout or stderr.
 import builtins
 import json
 import os
+import signal
 import threading
 import time
 
@@ -265,9 +266,7 @@ def test_an_anomaly_gives_the_serial_report_or_error(workdir, monkeypatch, capfd
 
 def test_a_live_thread_means_a_serial_fold_and_the_hash_after_the_work(workdir, monkeypatch,
                                                                         capfd, spies):
-    monkeypatch.setattr(cli, "_HELPER_MIN_BYTES", 0)
     serial = serial_run(workdir, monkeypatch, capfd)
-    assert spies["forks"] == [1]  # the hash helper, with no other thread alive
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(10,))
     thread.start()
@@ -280,7 +279,7 @@ def test_a_live_thread_means_a_serial_fold_and_the_hash_after_the_work(workdir, 
         release.set()
         thread.join(10)
     assert not thread.is_alive()
-    assert spies["forks"] == [1] and spies["serial"] == 2 and spies["parts"] == 0
+    assert spies["forks"] == [] and spies["serial"] == 2 and spies["parts"] == 0
     assert hashed == ["gold.jsonl", "samples.jsonl"]  # in this process, after the work
     assert outputs(workdir) == serial[2]
 
@@ -302,3 +301,45 @@ def test_ctrl_c_in_the_parent_kills_and_reaps_the_workers(workdir, monkeypatch, 
     assert time.monotonic() - start < 30
     assert capfd.readouterr() == ("", "")
     assert outputs(workdir) == [None, None]
+
+
+def sigint_after_fork(monkeypatch, side):
+    """os.fork that sends this process a SIGINT as soon as the fork returns
+    on one side, the parent's or the child's, of the first fork."""
+    real, forks = os.fork, []
+
+    def fork():
+        pid = real()
+        forks.append(pid)
+        if (pid == 0) == (side == "child") and len(forks) == 1:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_ctrl_c_as_a_fork_returns_leaves_no_child(workdir, monkeypatch, capfd):
+    forks = sigint_after_fork(monkeypatch, "parent")
+    with pytest.raises(KeyboardInterrupt):
+        verify(monkeypatch, 3)
+    assert len(forks) == 1  # raised once the child was registered, then killed and reaped
+    assert capfd.readouterr() == ("", "")
+    assert outputs(workdir) == [None, None]
+
+
+def test_ctrl_c_in_a_child_as_its_fork_returns_stays_in_the_child(workdir, monkeypatch, capfd,
+                                                                 spies):
+    serial = serial_run(workdir, monkeypatch, capfd)
+    sigint_after_fork(monkeypatch, "child")
+    parent = os.getpid()
+    try:
+        code = verify(monkeypatch, 3)
+    finally:
+        if os.getpid() != parent:  # the interrupt ran up the parent's stack in the child
+            (workdir / "escaped").touch()
+            os._exit(3)
+    assert not (workdir / "escaped").exists()
+    assert code == 0 and spies["serial"] == 2  # the child exited 1: the serial fold ran
+    assert capfd.readouterr() == ("scored 12 tasks -> outcomes.jsonl\n", "")
+    assert outputs(workdir) == serial[2]
