@@ -5,7 +5,9 @@ Every report embeds the provenance needed to re-run it: tool version, seed,
 k, modes, and sha256 hashes of the input files. Each command names its input
 files in the parser, and hashes them after it has read them and before it
 writes its first output (_metadata), so an output written over an input
-never stands in for it. Randomized commands require an explicit --seed;
+never stands in for it. An input that is a FIFO, socket or character device
+is refused before anything is read, and every output is written whole
+(records.write_whole). Randomized commands require an explicit --seed;
 there are no default seeds. Outputs are deterministic: identical inputs and
 flags produce identical bytes.
 
@@ -35,7 +37,7 @@ from array import array
 from dataclasses import MISSING, fields, replace
 from itertools import groupby
 from pathlib import Path
-from stat import S_ISREG
+from stat import S_ISCHR, S_ISFIFO, S_ISREG, S_ISSOCK
 
 from . import __version__
 from .curate import CurationSpec, measure_lengths, select, split_validation
@@ -43,11 +45,12 @@ from .passk import (
     CheckpointMetrics,
     TaskOutcome,
     aggregate,
+    metrics_csv,
     read_metrics_csv,
-    write_metrics_csv,
 )
 from .plotting import plot_scatter
 from .predict import (
+    METRIC_GRAMMAR,
     calibrate_and_predict,
     component_value,
     parse_metric,
@@ -64,6 +67,8 @@ from .records import (
     load,
     part_offsets,
     read_json,
+    write_json,
+    write_whole,
 )
 from .sampler import SamplingIncomplete, SamplingJob, sample_completions
 from .stats import fit_linear, r_squared, spearman, split_eval
@@ -180,12 +185,6 @@ def _metadata(args, **extra) -> dict:
     }
     md.update(extra)
     return md
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _parse_ks(text: str) -> list[int]:
@@ -337,8 +336,10 @@ def cmd_verify(args) -> None:
         raise ValueError(f"no gold answer for task ({bench!r}, {task!r})")
     outcomes = [TaskOutcome(*key, n, c) for key, (n, c) in sorted(totals.items())]
     meta = _metadata(args, verifier_ruleset_version=RULESET_VERSION, n_outcomes=len(outcomes))
+    meta_path = Path(str(args.out) + ".meta.json")
+    meta_path.unlink(missing_ok=True)  # so no crash leaves new outcomes beside an old meta
     dump("outcomes", outcomes, args.out)
-    _write_json(Path(str(args.out) + ".meta.json"), meta)
+    write_json(meta_path, meta)
     print(f"scored {len(outcomes)} tasks -> {args.out}")
 
 
@@ -364,7 +365,7 @@ def cmd_passk(args) -> None:
             }
         )
     meta = _metadata(args, ks=ks, aggregation=args.agg)
-    write_metrics_csv(Path(args.out), rows, ks, meta)
+    write_whole(args.out, [metrics_csv(rows, ks, meta)])
     print(f"wrote metrics for {len(rows)} checkpoints -> {args.out}")
 
 
@@ -374,7 +375,7 @@ def cmd_genloss(args) -> None:
         "metadata": _metadata(args, mode=args.mode),
         "gen_loss": scalars,
     }
-    _write_json(Path(args.out), payload)
+    write_json(args.out, payload)
     print(f"aggregated gen_loss for {len(scalars)} checkpoints -> {args.out}")
 
 
@@ -394,7 +395,7 @@ def cmd_rank(args) -> None:
         payload["warning"] = (
             "no generalization-loss input: Pareto rule-out stage skipped"
         )
-    _write_json(Path(args.out), payload)
+    write_json(args.out, payload)
     print(
         f"ranked {len(report.ranked)} checkpoints "
         f"({len(report.ruled_out)} ruled out) -> {args.out}"
@@ -414,7 +415,7 @@ def cmd_predict(args) -> None:
         "predictions": predictions,
         "residuals": residuals,
     }
-    _write_json(Path(args.out), payload)
+    write_json(args.out, payload)
     print(f"predicted {len(predictions)} checkpoints -> {args.out}")
 
 
@@ -464,7 +465,7 @@ def cmd_evaluate(args) -> None:
         ),
         "metrics": results,
     }
-    _write_json(Path(args.out), payload)
+    write_json(args.out, payload)
     print(f"evaluated {len(results)} predictors on {len(labeled)} checkpoints -> {args.out}")
 
 
@@ -518,7 +519,7 @@ def cmd_curate(args) -> None:
             "validation_ids": [e.example_id for e in val],
         }
     manifest_path = args.manifest or str(out.with_name(out.stem + ".curation-manifest.json"))
-    _write_json(Path(manifest_path), manifest)
+    write_json(manifest_path, manifest)
     print(f"selected {len(selected)} examples -> {args.out}")
 
 
@@ -550,8 +551,7 @@ def cmd_plot(args) -> None:
         r2=r2,
         description=json.dumps(meta, sort_keys=True),
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    write_whole(args.out, [svg])
     print(f"plotted {len(points)} points -> {args.out}")
 
 
@@ -582,8 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="score samples against gold answers; folds a samples file of 8 MiB or more "
-        "in parts, up to one per CPU; holds one task group of samples per process, "
+        help="score samples against gold answers; folds a samples file of "
+        f"{2 * _PART_BYTES >> 20} MiB or more in parts, up to one per CPU; holds one "
+        "task group of samples per process, "
         "one (n, c) per task and one 8 B hash per sample key",
     )
     p.add_argument("--samples", required=True)
@@ -617,11 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="calibrate on labeled checkpoints, predict the rest")
     p.add_argument("--metrics", required=True)
     p.add_argument("--labels", required=True, help="labels.jsonl with known post-RL Pass@1")
-    p.add_argument(
-        "--metric",
-        required=True,
-        help="pass1 | passk:K | genloss | avg:passk:K+genloss",
-    )
+    p.add_argument("--metric", required=True, help=METRIC_GRAMMAR)
     p.add_argument("--genloss", help="genloss scalars JSON (required for genloss metrics)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict, inputs=("metrics", "labels", "genloss"))
@@ -674,6 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in filter(None, (getattr(args, role) for role in args.inputs)):
+            mode = os.stat(path).st_mode if os.path.exists(path) else 0
+            if S_ISFIFO(mode) or S_ISSOCK(mode) or S_ISCHR(mode):
+                raise OSError(f"{path}: not a regular file")
         args.func(args)
     except SamplingIncomplete as exc:
         print(f"error: io: {exc}", file=sys.stderr)

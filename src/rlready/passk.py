@@ -21,7 +21,7 @@ sensitivity checks. A checkpoint's Pass@1 is its overall curve at k=1,
 which aggregate evaluates whether or not 1 is among the requested ks.
 
 The metrics CSV that the passk command writes, and that rank, predict and
-evaluate read back as CheckpointMetrics, is written and read here.
+evaluate read back as CheckpointMetrics, is formatted and read here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import dropwhile, groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -239,9 +239,11 @@ def _mean(xs: Sequence[float]) -> float:
 METRICS_CSV_MARKER = "# rlready metrics v1"
 
 
-def write_metrics_csv(path: Path, rows: list[dict], ks: list[int], metadata: dict) -> None:
-    """Write passk's rows, sorted by checkpoint, under the marker and a metadata line."""
+def metrics_csv(rows: list[dict], ks: list[int], metadata: dict) -> str:
+    """passk's rows as a metrics CSV, sorted by checkpoint, under the marker and a metadata line."""
     buf = io.StringIO()
+    buf.write(METRICS_CSV_MARKER + "\n")
+    buf.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     header = ["checkpoint_id", "n_benchmarks", "n_tasks", "min_n", "max_n", "pass1"]
     header += [f"pass@{k}" for k in ks]
@@ -257,27 +259,24 @@ def write_metrics_csv(path: Path, rows: list[dict], ks: list[int], metadata: dic
         ]
         record += [repr(v) for v in row["passk"]]
         writer.writerow(record)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(METRICS_CSV_MARKER + "\n")
-        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        fh.write(buf.getvalue())
+    return buf.getvalue()
 
 
 def read_metrics_csv(path: Path) -> list[CheckpointMetrics]:
     """The checkpoints of a metrics CSV, in file order, without gen_loss."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = list(fh)
     except UnicodeDecodeError:
         from .records import undecodable_line  # records imports this module
 
         raise ValueError(f"{path}: line {undecodable_line(path)}: not valid UTF-8") from None
-    rows = [line for line in lines if not line.startswith("#")]
-    if not rows:
+    # past the marker and metadata lines only: a checkpoint id may start with # too
+    reader = csv.DictReader(dropwhile(lambda line: line.startswith("#"), lines))
+    if reader.fieldnames is None:
         raise ValueError(f"{path}: empty metrics file")
-    reader = csv.DictReader(io.StringIO("\n".join(rows)))
     ks = []
-    for name in reader.fieldnames or []:
+    for name in reader.fieldnames:
         if name.startswith("pass@"):
             try:
                 ks.append(int(name[len("pass@") :]))

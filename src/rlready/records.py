@@ -53,7 +53,9 @@ report or the error at its line.
 The store is append-only with a manifest tracking per-file line counts and
 whole-file sha256 hashes, so every derived number can be audited back to raw
 records. The store keeps each file's hash running across appends, so an
-append costs the bytes it writes, not the size of the file.
+append costs the bytes it writes, not the size of the file. The manifest
+and every report are written whole (write_whole). An input must be a regular
+file, as it is read again to confirm a duplicate key or an undecodable line.
 """
 
 from __future__ import annotations
@@ -302,8 +304,9 @@ def iter_records(kind: str, path: str | Path) -> Iterator:
     A line whose key hashes to a value already seen is confirmed by reading
     the file again up to that line: an earlier line with an equal key makes
     it a duplicate, and no such line makes it a hash collision, which is
-    passed over. So the check is exact, and only a duplicate, which ends the
-    read, or a collision pays for the second read.
+    passed over; a file that ends before the line changed while it was read.
+    So the check is exact, and only a duplicate, which ends the read, or a
+    collision pays for the second read.
     """
     spec = _kind(kind)
     hashes: set[int] = set()
@@ -320,6 +323,8 @@ def iter_records(kind: str, path: str | Path) -> Iterator:
                                 f"{path}: line {lineno}: duplicate {kind} key {key!r} "
                                 f"(first seen at line {first})"
                             )
+                    else:
+                        raise ValueError(f"{path}: changed while it was read")
             hashes.add(digest)
             yield record
     except UnicodeDecodeError:
@@ -379,15 +384,35 @@ def to_json_line(kind: str, record: Any) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def dump(kind: str, records: Iterable[Any], path: str | Path) -> int:
-    """Write records as JSONL with canonical field order; returns the count."""
+def write_whole(path: str | Path, parts: Iterable[str]) -> None:
+    """Write the text parts to a temp file beside path, then os.replace path
+    with it; on any exception the temp file is removed. A symlink is resolved
+    first; a path that is not a regular file (a FIFO, /dev/stdout) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        return
+    path = Path(os.path.realpath(path) if os.path.islink(path) else path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # one that a killed process of this pid left goes too
+        raise
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write payload whole as sorted JSON indented by 2, and a newline."""
+    write_whole(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+
+
+def dump(kind: str, records: Sequence[Any], path: str | Path) -> int:
+    """Write records whole as JSONL with canonical field order; returns the count."""
     _kind(kind)
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(to_json_line(kind, record) + "\n")
-            count += 1
-    return count
+    write_whole(path, (to_json_line(kind, record) + "\n" for record in records))
+    return len(records)
 
 
 def _fold_genloss(records: Iterable[GenLossRecord], weighted: bool) -> dict[str, list]:
@@ -625,9 +650,7 @@ class RecordStore:
     the file holds, and every later append feeds the hash exactly the bytes
     it writes. So the store must be the only writer of its files while it is
     open; bytes written behind its back are missing from the manifest's hash,
-    and verify() reports the mismatch. The manifest is replaced atomically
-    (temp file, then os.replace), so a crashed process leaves the old one or
-    the new one, never a torn one.
+    and verify() reports the mismatch.
     """
 
     MANIFEST = "manifest.json"
@@ -676,12 +699,12 @@ class RecordStore:
             "count": self.count(kind) + len(records),
             "sha256": digest.hexdigest(),
         }
-        self._write_manifest()
+        write_json(self._manifest_path, self._manifest)
         return len(records)
 
     def set_metadata(self, key: str, value: Any) -> None:
         self._manifest["metadata"][key] = value
-        self._write_manifest()
+        write_json(self._manifest_path, self._manifest)
 
     @property
     def metadata(self) -> dict:
@@ -700,14 +723,3 @@ class RecordStore:
             actual = file_sha256(path)
             if actual != entry["sha256"]:
                 raise ValueError(f"{path}: content hash mismatch")
-
-    def _write_manifest(self) -> None:
-        tmp = self._manifest_path.with_name(self.MANIFEST + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self._manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self._manifest_path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise

@@ -43,7 +43,7 @@ from pathlib import Path
 from queue import SimpleQueue
 from urllib.parse import SplitResult, urlsplit
 
-from .records import RecordStore, SamplingTask, iter_records
+from .records import RecordStore, SamplingTask, iter_records, write_whole
 from .verifier import Sample
 
 API_KEY_ENV = "RLREADY_API_KEY"
@@ -428,9 +428,8 @@ def sample_completions(job: SamplingJob, store: RecordStore) -> int:
     failures_path = store.root / FAILURES_SIDECAR
     if failures:
         failures.sort(key=lambda f: (f["benchmark"], f["task_id"]))
-        with open(failures_path, "w", encoding="utf-8") as fh:
-            for entry in failures:
-                fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        lines = (json.dumps(entry, ensure_ascii=False) + "\n" for entry in failures)
+        write_whole(failures_path, lines)
         raise SamplingIncomplete(
             f"{len(failures)} task(s) incomplete after retries "
             f"({written} samples written); see {failures_path}",

@@ -502,6 +502,19 @@ def test_a_metrics_csv_that_is_not_utf8_exits_one_naming_its_line(inputs, capsys
     assert err == [f"error: validation: {metrics}: line 4: not valid UTF-8"]
 
 
+@pytest.mark.parametrize("first", ["#best", "a\u2028b", "a\x85b"])
+def test_rank_reads_back_every_checkpoint_id_that_passk_writes(tmp_path, first):
+    # an id may start with # and hold a line break that str.splitlines would cut at
+    outcomes = [TaskOutcome(first, "b", "t0", n=4, c=3), TaskOutcome("c", "b", "t0", n=4, c=1)]
+    dump("outcomes", outcomes, tmp_path / "outcomes.jsonl")
+    assert main(["passk", "--outcomes", str(tmp_path / "outcomes.jsonl"),
+                 "--out", str(tmp_path / "metrics.csv"), "--ks", "1,2"]) == 0
+    assert main(["rank", "--metrics", str(tmp_path / "metrics.csv"), "--k", "2",
+                 "--out", str(tmp_path / "rank.json")]) == 0
+    ranked = json.loads((tmp_path / "rank.json").read_text(encoding="utf-8"))["ranked"]
+    assert ranked == [[first, 1.0], ["c", 0.5]]
+
+
 @pytest.mark.parametrize("agg", ["macro", "micro"])
 def test_passk_evaluates_each_distinct_n_c_once_across_checkpoints(tmp_path, monkeypatch, agg):
     rng = random.Random(17)

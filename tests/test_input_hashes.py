@@ -6,6 +6,8 @@ writes over is recorded as it was read.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -92,3 +94,33 @@ def test_an_input_written_over_records_the_hash_of_the_input(workdir):
                  "--out", "samples.jsonl"]) == 0
     meta = json.loads((workdir / "samples.jsonl.meta.json").read_text())
     assert meta["inputs"]["samples"]["sha256"] == read
+
+
+def run_cli(workdir, *argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "rlready.cli", *argv], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=30, **kwargs)
+
+
+def test_a_fifo_input_exits_two_with_one_line_before_it_is_read(workdir):
+    # read, it would block until a writer came, and then give its bytes once
+    os.mkfifo(workdir / "outcomes.fifo")
+    done = run_cli(workdir, "passk", "--outcomes", "outcomes.fifo", "--out", "metrics.csv")
+    assert (done.returncode, done.stderr) == (2, "error: io: outcomes.fifo: not a regular file\n")
+    assert not (workdir / "metrics.csv").exists()
+
+
+def test_a_piped_input_with_a_duplicate_is_refused(workdir):
+    # a pipe gives its bytes once: read again, to confirm the duplicate or to
+    # hash it, it would give none
+    read, write = os.pipe()
+    os.write(write, (SAMPLE % (0, '"\\\\boxed{7}"') * 2).encode())
+    os.close(write)
+    try:
+        done = run_cli(workdir, "verify", "--samples", f"/dev/fd/{read}", "--gold", "gold.jsonl",
+                       "--out", "outcomes.jsonl", pass_fds=(read,))
+    finally:
+        os.close(read)
+    assert (done.returncode, done.stderr) == (
+        2, f"error: io: /dev/fd/{read}: not a regular file\n")
+    assert not (workdir / "outcomes.jsonl").exists()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_records as reference
 from rlready import records
+from torn_writes import tear
 from rlready.curate import SftExample
 from rlready.passk import TaskOutcome
 from rlready.records import (
@@ -62,6 +63,17 @@ class TestLoad:
             load("outcomes", path)
         message = str(exc.value)
         assert "line 2" in message and "first seen at line 1" in message
+
+    def test_a_file_that_ends_before_the_line_on_its_second_read_changed(self, tmp_path):
+        # line 2's key repeats line 1's, so the reader reads the file again to
+        # confirm it; emptied in between, the file has no line 2 to find
+        line = '{"checkpoint_id":"m1","benchmark":"math500","task_id":"t1","n":4,"c":1}'
+        path = write_lines(tmp_path / "outcomes.jsonl", [line, line])
+        stream = iter_records("outcomes", path)
+        next(stream)
+        path.write_text("")
+        with pytest.raises(ValueError, match="outcomes.jsonl: changed while it was read"):
+            next(stream)
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = write_lines(tmp_path / "labels.jsonl", ["{not json"])
@@ -476,11 +488,7 @@ class TestRecordStore:
         store.append("samples", [Sample("m1", "b", "t", 0, "a")])
         before = (root / "manifest.json").read_bytes()
 
-        def torn_dump(obj, fh, **kwargs):
-            fh.write('{"records": {"samples": {"co')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(records.json, "dump", torn_dump)
+        tear(monkeypatch, "manifest.json")
         with pytest.raises(OSError, match="disk full"):
             store.set_metadata("request_template", {"temperature": 1.0})
         monkeypatch.undo()
