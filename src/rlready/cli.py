@@ -11,14 +11,12 @@ is refused before anything is read, and every output is written whole
 there are no default seeds. Outputs are deterministic: identical inputs and
 flags produce identical bytes.
 
-verify folds a large samples file in parts, one per usable CPU, each part
-but the first in a forked worker (_fold_in_parts); wherever the parts
-cannot vouch for the serial fold's result, the serial fold runs instead.
-A fork, not a spawn, because hash(str) is salted per process and the
-workers' key hashes are checked together; and only with no other thread
-alive, as a thread would not run in the child yet its locks would stay
-held. A child never prints: it leaves through os._exit, and the parent
-kills and reaps every child on every path, so no process outlives main().
+verify and genloss fold an input file of at least 2 parts.PART_BYTES in
+parts, one per usable CPU, each part but the first in a forked worker
+(parts.run), and evaluate scores its split repeats in slices the same way
+(stats.split_eval); wherever the parts cannot vouch for the serial result,
+the serial path runs instead, so every report and error line is the serial
+one. No worker prints or outlives main().
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Errors print one
 machine-parsable line: "error: <category>: <message>".
@@ -28,18 +26,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import marshal
 import os
-import signal
 import sys
-import threading
 from array import array
 from dataclasses import MISSING, fields, replace
 from itertools import groupby
 from pathlib import Path
-from stat import S_ISCHR, S_ISFIFO, S_ISREG, S_ISSOCK
+from stat import S_ISCHR, S_ISFIFO, S_ISSOCK
 
-from . import __version__
+from . import __version__, parts
 from .curate import CurationSpec, measure_lengths, select, split_validation
 from .passk import (
     CheckpointMetrics,
@@ -65,7 +60,6 @@ from .records import (
     iter_part,
     iter_records,
     load,
-    part_offsets,
     read_json,
     write_json,
     write_whole,
@@ -84,89 +78,12 @@ _CONFIG_REQUIRED = {
 }
 
 
-# verify folds a part of at least this size in each process. On 2 vCPUs of a
-# shared Xeon VM (15 alternating runs per size on prefixes of a bench samples
-# file) the serial fold took 4.8 ms/MB, and 2 parts took 1.06 of its time at
-# 2 MB, 0.86 at 4 MB and 0.71 at 8 MB: parts pay from about 2 MB, and parts
-# of 4 MiB keep a margin for a worker slowed by other load
-_PART_BYTES = 4 << 20
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform with no CPU affinity
-        return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether a fork is safe here: a thread of this process would not run in
-    the child, yet the locks it held would stay held."""
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
-class _Children:
-    """Forked children, each of which sends one marshalled value through a
-    pipe and exits. close() kills and reaps every child not yet reaped."""
-
-    def __init__(self):
-        self._pipes: dict[int, int] = {}  # pid -> read end of its pipe
-
-    def fork(self, work, *args) -> int:
-        """The pid of a child that sends work(*args) and exits 0, or exits 1,
-        silently, on any exception, KeyboardInterrupt included."""
-        # SIGINT waits from before the fork until the parent has registered
-        # the child, so a Ctrl-C can leave no child unregistered, and, in the
-        # child, until it is inside its try, so it never runs up the parent's
-        # stack; a SIGINT already caught is raised here, before any fork
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(read)
-                    with open(write, "wb") as fh:
-                        fh.write(marshal.dumps(work(*args)))
-                    code = 0
-                except BaseException:
-                    pass  # the exit code tells the parent
-                finally:
-                    os._exit(code)  # no atexit handler, flush or finally of the parent's
-            os.close(write)
-            self._pipes[pid] = read
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a waiting SIGINT raises here
-        return pid
-
-    def result(self, pid: int):
-        """What the child pid sent, once it exited 0; None if it failed or died."""
-        read = self._pipes[pid]
-        chunks = []
-        while chunk := os.read(read, 1 << 20):
-            chunks.append(chunk)
-        _, status = os.waitpid(pid, 0)
-        del self._pipes[pid]
-        os.close(read)
-        return marshal.loads(b"".join(chunks)) if status == 0 else None
-
-    def close(self) -> None:
-        for pid, read in list(self._pipes.items()):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-            del self._pipes[pid]
-            os.close(read)
+def _refuse_a_stream(path) -> None:
+    """An OSError if path is a FIFO, socket or character device, which a
+    read could wait on forever and a second read could not see again."""
+    mode = os.stat(path).st_mode if os.path.exists(path) else 0
+    if S_ISFIFO(mode) or S_ISSOCK(mode) or S_ISCHR(mode):
+        raise OSError(f"{path}: not a regular file")
 
 
 def _metadata(args, **extra) -> dict:
@@ -243,6 +160,7 @@ def cmd_collect(args) -> None:
     if not isinstance(config["tasks_path"], str):
         raise ValueError(f"{args.config}: 'tasks_path' must be str, got {config['tasks_path']!r}")
     tasks_path = Path(config.pop("tasks_path"))
+    _refuse_a_stream(tasks_path)  # main checks the inputs named by options only
     tasks = load("tasks", tasks_path)
     if not tasks:
         raise ValueError(f"{tasks_path}: no tasks")
@@ -277,37 +195,22 @@ def _fold_part(path, start: int, end: int, gold_records: dict) -> tuple[dict, se
 
 def _fold_in_parts(path, gold_records: dict) -> tuple[dict, set] | None:
     """The serial fold's totals and missing keys of the samples file at path,
-    folded in one part per usable CPU, each of at least _PART_BYTES: the
-    first in this process, each other in a forked worker.
+    folded in one part per usable CPU, each of at least parts.PART_BYTES, by
+    parts.run.
 
     None where the serial fold must decide: an invalid line or a \\r that
     ends no \\r\\n in some part (iter_part), a key hash seen twice within a
     part or across parts, a worker that failed or died, no safe fork, fewer
     than 2 parts, or a path that is not a regular file.
     """
-    if not _can_fork():
-        return None
     try:
-        st = os.stat(path)
+        ranges = parts.file_ranges(path)
     except (OSError, ValueError):
         return None
-    parts = min(_usable_cpus(), st.st_size // _PART_BYTES)
-    if not S_ISREG(st.st_mode) or parts < 2:
-        return None
-    children = _Children()
-    try:
-        offsets = part_offsets(path, st.st_size, parts)
-        pids = [
-            children.fork(_fold_part, path, start, end, gold_records)
-            for start, end in zip(offsets[1:-1], offsets[2:])
-        ]
-        results = [_fold_part(path, offsets[0], offsets[1], gold_records)]
-        results += [children.result(pid) for pid in pids]
-    except (OSError, ValueError):
-        return None
-    finally:
-        children.close()
-    if None in results:
+    results = ranges and parts.run(
+        _fold_part, [(path, start, end, gold_records) for start, end in ranges]
+    )
+    if not results:
         return None
     totals: dict = {}
     missing: set = set()
@@ -474,16 +377,16 @@ def cmd_curate(args) -> None:
     examples = measure_lengths(examples, length_fn=args.length_fn)
     mixture_parts = None
     if args.mixture:
-        parts = []
+        pairs = []
         for chunk in args.mixture.split(","):
             strategy, _, count = chunk.partition(":")
             try:
-                parts.append((strategy.strip(), int(count)))
+                pairs.append((strategy.strip(), int(count)))
             except ValueError:
                 raise ValueError(
                     f"--mixture must look like 'shortest:100,longest:100', got {args.mixture!r}"
                 ) from None
-        mixture_parts = tuple(parts)
+        mixture_parts = tuple(pairs)
     spec = CurationSpec(
         strategy=args.strategy,
         count=args.count,
@@ -583,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="score samples against gold answers; folds a samples file of "
-        f"{2 * _PART_BYTES >> 20} MiB or more in parts, up to one per CPU; holds one "
+        f"{2 * parts.PART_BYTES >> 20} MiB or more in parts, up to one per CPU; holds one "
         "task group of samples per process, "
         "one (n, c) per task and one 8 B hash per sample key",
     )
@@ -672,9 +575,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for path in filter(None, (getattr(args, role) for role in args.inputs)):
-            mode = os.stat(path).st_mode if os.path.exists(path) else 0
-            if S_ISFIFO(mode) or S_ISSOCK(mode) or S_ISCHR(mode):
-                raise OSError(f"{path}: not a regular file")
+            _refuse_a_stream(path)
         args.func(args)
     except SamplingIncomplete as exc:
         print(f"error: io: {exc}", file=sys.stderr)

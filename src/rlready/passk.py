@@ -245,20 +245,19 @@ def metrics_csv(rows: list[dict], ks: list[int], metadata: dict) -> str:
     buf.write(METRICS_CSV_MARKER + "\n")
     buf.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
+    # Python 3.11's minimal quoting leaves a bare \r unquoted, which the
+    # reader takes for a line end; an id holding one is written quoted, and
+    # the numbers, as numbers, are left bare
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     header = ["checkpoint_id", "n_benchmarks", "n_tasks", "min_n", "max_n", "pass1"]
     header += [f"pass@{k}" for k in ks]
     writer.writerow(header)
     for row in sorted(rows, key=lambda r: r["checkpoint_id"]):
-        record = [
-            row["checkpoint_id"],
-            row["n_benchmarks"],
-            row["n_tasks"],
-            row["min_n"],
-            row["max_n"],
-            repr(row["pass1"]),
-        ]
-        record += [repr(v) for v in row["passk"]]
-        writer.writerow(record)
+        ckpt = row["checkpoint_id"]
+        # csv writes a float as str gives it, which is its repr
+        record = [ckpt, row["n_benchmarks"], row["n_tasks"], row["min_n"], row["max_n"]]
+        record += [row["pass1"], *row["passk"]]
+        (quoting if "\r" in ckpt else writer).writerow(record)
     return buf.getvalue()
 
 

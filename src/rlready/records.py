@@ -27,7 +27,7 @@ before is confirmed by reading the file again up to that line, so the check
 stays exact. The string fields of a record's key are interned, so the
 records read from a file share one string object per distinct id. load is
 list(iter_records(...)). iter_part reads the lines of one byte range of a
-file, cut at line starts by part_offsets, for a fold in parts; it raises on
+file, cut at line starts by parts.part_offsets, for a fold in parts; it raises on
 any line it might read differently from iter_records, whose read of the
 whole file then gives the error. A line is decoded by the JSON scanner when
 it holds one value and JSON whitespace after it; any other line goes to
@@ -42,8 +42,11 @@ finite: NaN, infinities and integers beyond the float range are rejected.
 The genloss command reads its file with genloss_file_by_checkpoint, which
 folds whole lines 64 KiB at a time: a chunk whose lines all hold the four
 genloss fields alone, in one key order, is read with one pattern match and
-folded column by column, with no record built. The columns hold the serial
-fold's values in file order, so the report keeps its bits. A key repeats
+folded column by column, with no record built. A file of at least 2
+parts.PART_BYTES is folded in parts cut at line starts, one per usable CPU,
+each but the first in a forked worker, and each checkpoint's column takes
+the parts' values in part order. The columns hold the serial fold's values
+in file order, so the report keeps its bits. A key repeats
 only within its checkpoint, so each checkpoint keeps the hashes of its
 example ids. A chunk the pattern cannot read (an invalid line, or a valid
 one in another layout) or an example id hash seen twice under one
@@ -74,6 +77,7 @@ from operator import truediv
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
+from . import parts
 from .curate import SftExample
 from .passk import TaskOutcome
 from .stats import LabeledPoint
@@ -331,22 +335,9 @@ def iter_records(kind: str, path: str | Path) -> Iterator:
         raise ValueError(f"{path}: line {undecodable_line(path)}: not valid UTF-8") from None
 
 
-def part_offsets(path: str | Path, size: int, parts: int) -> list[int]:
-    """parts + 1 ascending byte offsets that cut the first size bytes of path
-    into parts of about equal size: 0, then each at a line start, then size."""
-    offsets = [0]
-    with open(path, "rb") as fh:
-        for i in range(1, parts):
-            fh.seek(max(size * i // parts, offsets[-1], 1) - 1)
-            fh.readline()  # to the start of the next line
-            offsets.append(min(fh.tell(), size))
-    offsets.append(size)
-    return offsets
-
-
 def iter_part(kind: str, path: str | Path, start: int, end: int, hashes: array) -> Iterator:
     """Yield the records of the lines in bytes [start, end) of path, which
-    part_offsets cut, as iter_records reads them, and append each key's hash
+    parts.part_offsets cut, as iter_records reads them, and append each key's hash
     to hashes; the caller checks the hashes of every part for a repeat.
 
     The bytes are split at each \\n, so a line that the text reader would
@@ -522,60 +513,116 @@ def _chunks(path: str | Path, start: int = 0, end: int | None = None) -> Iterato
             yield chunk
 
 
-def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
-    """_fold_genloss's columns of the genloss lines of path, each chunk's
-    from _pattern_columns; None where iter_records must decide: a chunk
-    that the pattern cannot read, or an example id hash seen twice under
-    one checkpoint."""
+def _fold_range(path: str | Path, start: int, end: int | None, weighted: bool) -> list[dict]:
+    """[columns, hashes] of the genloss lines in bytes [start, end) of path,
+    to its end if end is None: _fold_genloss's columns, each chunk's from
+    _pattern_columns, and each checkpoint's example id hashes, packed. []
+    where iter_records must decide: a chunk that the pattern cannot read or
+    that is not UTF-8, or an example id hash seen twice under one
+    checkpoint. A value, not an exception, so that parts.run does not take
+    it for a failed worker and have the file folded again here."""
     columns: dict[str, list] = {}
     # a key repeats only within its checkpoint, so each checkpoint keeps the
     # hashes of its example ids, packed: a set would keep an int and a table
     # slot per key alive between the chunks
     hashes: dict[str, array] = {}
-    try:
-        for chunk in _chunks(path):
-            text = chunk.decode("utf-8")
-            chunk_columns = _pattern_columns(text)
-            if chunk_columns is None:
-                return None
-            ckpts, examples, nlls, tokens = chunk_columns
-            at = 0
-            for ckpt, run in groupby(ckpts):
-                stop = at + len(list(run))
-                entry = columns.get(ckpt)
-                if entry is None:
-                    entry = columns[ckpt] = [array("d"), 0]
-                    hashes[ckpt] = array("q")
-                hashes[ckpt].extend(map(hash, examples[at:stop]))
-                if weighted:
-                    entry[0].extend(nlls[at:stop])
-                    entry[1] += sum(tokens[at:stop])
-                else:
-                    entry[0].extend(map(truediv, nlls[at:stop], tokens[at:stop]))
-                at = stop
-    except (OSError, ValueError):  # UnicodeDecodeError too
-        return None
+    for chunk in _chunks(path, start, end):
+        try:
+            chunk_columns = _pattern_columns(chunk.decode("utf-8"))
+        except UnicodeDecodeError:
+            return []
+        if chunk_columns is None:
+            return []
+        ckpts, examples, nlls, tokens = chunk_columns
+        at = 0
+        for ckpt, run in groupby(ckpts):
+            stop = at + len(list(run))
+            entry = columns.get(ckpt)
+            if entry is None:
+                entry = columns[ckpt] = [array("d"), 0]
+                hashes[ckpt] = array("q")
+            hashes[ckpt].extend(map(hash, examples[at:stop]))
+            if weighted:
+                entry[0].extend(nlls[at:stop])
+                entry[1] += sum(tokens[at:stop])
+            else:
+                entry[0].extend(map(truediv, nlls[at:stop], tokens[at:stop]))
+            at = stop
+    # a repeat across ranges is the caller's to find
     if any(len(set(column)) != len(column) for column in hashes.values()):
+        return []
+    return [columns, hashes]
+
+
+def _repeat_across(parts_hashes: list[dict]) -> bool:
+    """Whether some checkpoint has an example id hash in two of the parts,
+    each part's hashes packed by checkpoint: the first part's as arrays, the
+    others' as the bytes that a worker sent."""
+    for ckpt in set().union(*parts_hashes):
+        seen = set(parts_hashes[0].get(ckpt, ()))
+        for i, part in enumerate(parts_hashes[1:], start=2):
+            view = memoryview(part.get(ckpt, b"")).cast("q")
+            if not seen.isdisjoint(view):
+                return True
+            if i < len(parts_hashes):
+                seen.update(view)
+    return False
+
+
+def _fold_chunks(path: str | Path, weighted: bool) -> dict[str, list] | None:
+    """_fold_genloss's columns of the genloss lines of path, folded by
+    _fold_range in one part per usable CPU, each of at least
+    parts.PART_BYTES, or else in one; None where iter_records must decide: a
+    chunk that the pattern cannot read, or an example id hash seen twice
+    under one checkpoint."""
+    folded = None
+    try:
+        ranges = parts.file_ranges(path)
+        if ranges:
+            folded = parts.run(_fold_range, [(path, start, end, weighted) for start, end in ranges])
+        if folded is None:  # one part, or a worker that failed or died
+            folded = [_fold_range(path, 0, None, weighted)]
+    except (OSError, ValueError):
         return None
+    if not all(folded):
+        return None
+    hashes = [part.pop() for part in folded]  # each part is [columns, hashes]
+    if len(hashes) > 1 and _repeat_across(hashes):
+        return None
+    del hashes
+    columns = folded[0][0]
+    # each checkpoint's column grows in part order, so it holds the serial
+    # fold's values in file order; a part's entries are dropped as they go in
+    for [part_columns] in folded[1:]:
+        for ckpt in list(part_columns):
+            values, total = part_columns.pop(ckpt)
+            entry = columns.setdefault(ckpt, [array("d"), 0])
+            entry[0].frombytes(values)
+            entry[1] += total
     return columns
 
 
 def genloss_file_by_checkpoint(path: str | Path, mode: str = "token_weighted") -> dict[str, float]:
     """genloss_by_checkpoint(iter_records("genloss", path), mode), folded in
-    64 KiB chunks.
+    64 KiB chunks, and a file of at least 2 parts.PART_BYTES in parts cut at
+    line starts, one per usable CPU, each but the first in a forked worker
+    (parts.run).
 
     A chunk whose lines all hold the genloss fields alone, in the key order
     of its first line, is read with one pattern match (_pattern_columns),
     which accepts only values that iter_records accepts and reads them as
-    it does, and the columns hold the serial fold's values in file order,
-    so every sum gives its bits. Wherever the chunks cannot vouch for the
-    serial result, the serial fold runs instead, over the whole file: on a
-    chunk the pattern cannot read (an invalid line, an extra field, keys in
-    mixed orders, an escaped key, a number the pattern leaves to JSON, a
-    \\r that does not close a \\r\\n), an example id hash seen twice under
-    one checkpoint, or a path that is not a regular file. So every error is
-    the one iter_records gives, with its line number, and a hash collision
-    is confirmed as it confirms one.
+    it does. Each checkpoint's column takes the parts' values in part
+    order, so it holds the serial fold's values in file order and every sum
+    gives its bits. Parts that cannot vouch for the result (a worker that
+    failed or died, no safe fork) leave the file to the chunks in this
+    process. Wherever the chunks cannot vouch for the serial result, the
+    serial fold runs instead, over the whole file: on a chunk the pattern
+    cannot read (an invalid line, an extra field, keys in mixed orders, an
+    escaped key, a number the pattern leaves to JSON, a \\r that does not
+    close a \\r\\n), an example id hash seen twice under one checkpoint
+    (within a part or across parts), or a path that is not a regular file.
+    So every error is the one iter_records gives, with its line number, and
+    a hash collision is confirmed as it confirms one.
     """
     weighted = _check_mode(mode)
     columns = _fold_chunks(path, weighted) if os.path.isfile(path) else None

@@ -502,9 +502,10 @@ def test_a_metrics_csv_that_is_not_utf8_exits_one_naming_its_line(inputs, capsys
     assert err == [f"error: validation: {metrics}: line 4: not valid UTF-8"]
 
 
-@pytest.mark.parametrize("first", ["#best", "a\u2028b", "a\x85b"])
+@pytest.mark.parametrize("first", ["#best", "a\u2028b", "a\x85b", "a\rb"])
 def test_rank_reads_back_every_checkpoint_id_that_passk_writes(tmp_path, first):
-    # an id may start with # and hold a line break that str.splitlines would cut at
+    # an id may start with # and hold a line break that str.splitlines or the
+    # csv reader would cut at
     outcomes = [TaskOutcome(first, "b", "t0", n=4, c=3), TaskOutcome("c", "b", "t0", n=4, c=1)]
     dump("outcomes", outcomes, tmp_path / "outcomes.jsonl")
     assert main(["passk", "--outcomes", str(tmp_path / "outcomes.jsonl"),

@@ -110,6 +110,18 @@ def test_a_fifo_input_exits_two_with_one_line_before_it_is_read(workdir):
     assert not (workdir / "metrics.csv").exists()
 
 
+def test_a_fifo_tasks_path_in_the_config_exits_two_before_it_is_read(workdir):
+    # the config, not an option, names the tasks file, so main's check of
+    # the inputs does not see it; read, the FIFO would block collect for good
+    os.mkfifo(workdir / "tasks.fifo")
+    config = {"endpoint_url": "http://127.0.0.1:9", "model_name": "m",
+              "tasks_path": "tasks.fifo", "n": 1}
+    (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    done = run_cli(workdir, "collect", "--config", "config.json", "--store", "store")
+    assert (done.returncode, done.stderr) == (2, "error: io: tasks.fifo: not a regular file\n")
+    assert not (workdir / "store").exists()
+
+
 def test_a_piped_input_with_a_duplicate_is_refused(workdir):
     # a pipe gives its bytes once: read again, to confirm the duplicate or to
     # hash it, it would give none

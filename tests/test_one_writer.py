@@ -17,7 +17,7 @@ ALLOWED = {
     ("records", "write_whole", "w"),  # the writer: a FIFO or device, written in place
     ("records", "write_whole", "x"),  # the writer's temp file
     ("records", "RecordStore.append", "ab"),  # the store's record files only grow
-    ("cli", "_Children.fork", "wb"),  # a forked child's end of its pipe
+    ("parts", "_Children.fork", "wb"),  # a forked child's end of its pipe
 }
 
 

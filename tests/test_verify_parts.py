@@ -18,9 +18,9 @@ import time
 
 import pytest
 
-from rlready import cli, records
+from rlready import cli, parts, records
 from rlready.cli import main
-from rlready.records import part_offsets
+from rlready.parts import part_offsets
 
 GOLD = [{"benchmark": "b", "task_id": f"t{t}", "answer": str(t)} for t in range(4)]
 
@@ -47,7 +47,7 @@ def write(path, lines, end="\n"):
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "_PART_BYTES", 1024)
+    monkeypatch.setattr(parts, "PART_BYTES", 1024)
     write("gold.jsonl", [json.dumps(g) for g in GOLD])
     write("samples.jsonl", [json.dumps(r) for r in rows()])
     yield tmp_path
@@ -82,7 +82,7 @@ def spies(monkeypatch):
 
 
 def verify(monkeypatch, cpus):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parts, "usable_cpus", lambda: cpus)
     return main(["verify", "--samples", "samples.jsonl", "--gold", "gold.jsonl",
                  "--out", "outcomes.jsonl"])
 
@@ -192,7 +192,7 @@ def no_fork(workdir, monkeypatch):
 
 
 def one_part(workdir, monkeypatch):
-    monkeypatch.setattr(cli, "_PART_BYTES", 1 << 20)
+    monkeypatch.setattr(parts, "PART_BYTES", 1 << 20)
 
 
 def a_directory(workdir, monkeypatch):
